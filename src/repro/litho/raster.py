@@ -11,7 +11,7 @@ Manhattan shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -59,12 +59,15 @@ class MaskGrid:
 
 
 def _interval_coverage(a: Nanometers, b: Nanometers, start: Nanometers,
-                       pixel: NmPerPixel, n: int) -> np.ndarray:
+                       pixel: NmPerPixel, n: int) -> Tuple[int, np.ndarray]:
     """Fractional 1-D coverage of interval [a, b] over n bins of width
-    ``pixel`` beginning at ``start``."""
-    cov = np.zeros(n)
+    ``pixel`` beginning at ``start``.
+
+    Returns ``(first, cov)``: ``cov[k]`` is the covered fraction of bin
+    ``first + k``, and every bin outside that span is uncovered (``cov``
+    is empty when no bin is)."""
     if b <= a:
-        return cov
+        return 0, np.zeros(0)
     lo = (a - start) / pixel
     hi = (b - start) / pixel
     i0 = int(np.floor(lo))
@@ -74,16 +77,16 @@ def _interval_coverage(a: Nanometers, b: Nanometers, start: Nanometers,
     i0c = max(i0, 0)
     i1c = min(i1, n - 1)
     if i0c > i1c:
-        return cov
+        return 0, np.zeros(0)
+    cov = np.ones(i1c - i0c + 1)
     if i0 == i1:
-        cov[i0c] = hi - lo
-        return cov
-    cov[i0c:i1c + 1] = 1.0
+        cov[0] = hi - lo
+        return i0c, cov
     if i0 == i0c:
-        cov[i0] = (i0 + 1) - lo
+        cov[0] = (i0 + 1) - lo
     if i1 == i1c:
-        cov[i1] = hi - i1
-    return cov
+        cov[-1] = hi - i1
+    return i0c, cov
 
 
 def rasterize(
@@ -107,9 +110,11 @@ def rasterize(
             clipped = rect.intersection(grid.region)
             if clipped is None or clipped.area == 0.0:
                 continue
-            cx = _interval_coverage(clipped.x0, clipped.x1, region.x0, pixel, nx)
-            cy = _interval_coverage(clipped.y0, clipped.y1, region.y0, pixel, ny)
-            data += np.outer(cy, cx)
+            # Only the rectangle's own pixel span receives its products;
+            # every other pixel would add an exact 0.0.
+            i0, cx = _interval_coverage(clipped.x0, clipped.x1, region.x0, pixel, nx)
+            j0, cy = _interval_coverage(clipped.y0, clipped.y1, region.y0, pixel, ny)
+            data[j0:j0 + cy.size, i0:i0 + cx.size] += np.outer(cy, cx)
     np.clip(data, 0.0, 1.0, out=data)
     return grid
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Polygon, Rect
-from repro.litho import OpticalModel, rasterize
+from repro.litho import AerialImage, OpticalModel, rasterize
 from repro.pdk import LithoSettings
 
 
@@ -103,6 +103,61 @@ class TestImageStructure:
         assert len(model._kernel_cache) == cache_size
 
 
+def dense_socs(model, transmission, pixel, defocus_nm):
+    """The full-grid SOCS loop: one dense ``ifft2`` per kernel (the oracle)."""
+    ny, nx = transmission.shape
+    eigvals, support, vectors = model._kernels(nx, ny, pixel, defocus_nm)[:3]
+    masked_spectrum = np.fft.fft2(transmission)[support]
+    intensity = np.zeros((ny, nx))
+    kernel_grid = np.zeros((ny, nx), dtype=complex)
+    for value, vec in zip(eigvals, vectors):
+        kernel_grid[:] = 0.0
+        kernel_grid[support] = masked_spectrum * vec
+        field = np.fft.ifft2(kernel_grid)
+        intensity += value * np.abs(field) ** 2
+    return intensity
+
+
+def random_manhattan_mask(n_px, seed, pixel=8.0, n_shapes=40):
+    """Seeded lines, pads and L-shapes scattered over an ``n_px`` window."""
+    rng = np.random.default_rng(seed)
+    size = n_px * pixel
+    polygons = []
+    for _ in range(n_shapes):
+        x, y = rng.uniform(-200.0, size - 100.0, 2)
+        w, h = rng.uniform(40.0, 600.0, 2)
+        if rng.random() < 0.3:
+            arm = rng.uniform(20.0, min(w, h))
+            polygons.append(Polygon.from_xy([
+                (x, y), (x + w, y), (x + w, y + arm), (x + arm, y + arm),
+                (x + arm, y + h), (x, y + h),
+            ]))
+        else:
+            polygons.append(Polygon.from_rect(Rect(x, y, x + w, y + h)))
+    return rasterize(polygons, Rect(0.0, 0.0, size, size), pixel)
+
+
+class TestSocsExactness:
+    """The band-limited SOCS passes equal the dense ``ifft2`` loop bit for bit."""
+
+    @pytest.mark.parametrize("n_px", [512, 576, 1024])
+    def test_matches_dense_loop(self, model, n_px):
+        mask = random_manhattan_mask(n_px, seed=n_px)
+        attpsm = -(0.06 ** 0.5)
+        for defocus_nm in (0.0, 150.0):
+            for feature in (0.0, attpsm):
+                transmission = mask.transmission(feature=feature)
+                pruned = model._socs(transmission, mask.pixel, defocus_nm)
+                dense = dense_socs(model, transmission, mask.pixel, defocus_nm)
+                assert pruned.flags.c_contiguous
+                assert np.array_equal(pruned, dense), (n_px, defocus_nm, feature)
+
+    def test_support_rows_index_the_support(self, model):
+        _, support, _, rows, row_of = model._kernels(64, 48, 8.0, 0.0)
+        assert np.all(np.diff(rows) > 0)
+        assert np.array_equal(rows[row_of], support[0])
+
+
 class TestValueAtAndProfile:
     def test_value_at_matches_grid(self, model, line_mask):
         image = model.aerial_image(line_mask)
@@ -112,6 +167,28 @@ class TestValueAtAndProfile:
     def test_value_at_clamps_outside(self, model, line_mask):
         image = model.aerial_image(line_mask)
         assert image.value_at(-10000, -10000) == pytest.approx(image.intensity[0, 0])
+
+    def test_value_at_matches_values_at_on_borders(self):
+        rng = np.random.default_rng(4)
+        image = AerialImage(100.0, -50.0, 8.0, rng.random((5, 4)))
+        x0, y0 = image.x0, image.y0
+        x1, y1 = x0 + image.nx * image.pixel, y0 + image.ny * image.pixel
+        ts = np.linspace(-0.5, 1.5, 33)
+        xs = x0 + ts * (x1 - x0)
+        ys = y0 + ts * (y1 - y0)
+        points = [(x, y) for x in xs for y in (y0, y0 + 3.0, y1 - 3.0, y1)]
+        points += [(x, y) for y in ys for x in (x0, x0 + 3.0, x1 - 3.0, x1)]
+        points += [(x0 - 500.0, y0 - 500.0), (x1 + 500.0, y1 + 500.0),
+                   (x0 - 500.0, y1 + 500.0), (x1 + 500.0, y0 - 500.0)]
+        px, py = np.array(points).T
+        expected = image.values_at(px, py)
+        got = np.array([image.value_at(x, y) for x, y in points])
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_value_at_lower_left_corner_is_first_pixel(self):
+        image = AerialImage(0.0, 0.0, 8.0, np.arange(16.0).reshape(4, 4))
+        assert image.value_at(3.0, 3.0) == 0.0
+        assert image.values_at(np.array([3.0]), np.array([3.0]))[0] == 0.0
 
     def test_profile_shape_and_length(self, model, line_mask):
         image = model.aerial_image(line_mask)
