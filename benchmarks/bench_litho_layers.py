@@ -7,12 +7,14 @@ shards), next to the dense formulation each layer used to run:
 * **rasterize** adds each rectangle's coverage product only into its own
   pixel span; the dense reference adds a full-grid ``np.outer`` per
   rectangle.
-* **aerial_image** (SOCS) runs the band-limited inverse FFT passes; the
-  dense reference scatters each kernel into a full grid and runs one
-  ``ifft2`` per kernel.
+* **aerial_image** (SOCS) images each kernel on a coarse grid sized to
+  the band and Fourier-upsamples the summed intensity once; the dense
+  reference scatters each kernel into a full grid and runs one ``ifft2``
+  per kernel.
 
-Both pairs must agree bit for bit, which the run asserts.  It also records
-one cold c17 model-OPC flow wall (fresh flow, fresh kernel cache).
+The run asserts that rasterize matches its reference bit for bit and that
+the aerial image stays within ``AERIAL_BOUND`` of its reference.  It also
+records one cold c17 model-OPC flow wall (fresh flow, fresh kernel cache).
 
     PYTHONPATH=src python benchmarks/bench_litho_layers.py \\
         --out BENCH_litho_layers.json
@@ -20,7 +22,8 @@ one cold c17 model-OPC flow wall (fresh flow, fresh kernel cache).
         --out /tmp/bench_litho_layers.json
 
 Times are best-of-``--repeats`` wall clock on a shared machine, so they
-are indicative; the pytest entry asserts exactness only, never a time.
+are indicative; the pytest entry asserts the accuracy checks only, never a
+time.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import os
 import platform
 import time
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +45,8 @@ from repro.litho import MaskGrid, OpticalModel, rasterize
 from repro.pdk import make_tech_90nm
 
 PIXEL_NM = 8.0
+#: max |coarse-grid SOCS - dense per-kernel ifft2| on unit-clear-field images
+AERIAL_BOUND = 1e-12
 
 
 def seeded_polygons(n_px: int, seed: int) -> List[Polygon]:
@@ -125,25 +130,31 @@ def dense_aerial(model: OpticalModel, mask: MaskGrid, defocus_nm: float = 0.0) -
     return intensity
 
 
-def best_of(repeats: int, pair: Tuple[Callable[[], np.ndarray], Callable[[], np.ndarray]]):
+def best_of(repeats: int, pair: Tuple[Callable[[], np.ndarray], Callable[[], np.ndarray]],
+            bound: Optional[float] = None) -> Tuple[List[float], float]:
     """Best wall of each of two calls, interleaved with the first side
-    alternating; raises unless both return equal arrays."""
+    alternating, and their max absolute difference; raises unless both
+    return equal arrays (``bound`` None) or arrays within ``bound``."""
     best = [float("inf"), float("inf")]
+    error = 0.0
     for rep in range(repeats):
         outputs = {}
         for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
             start = time.perf_counter()
             outputs[side] = pair[side]()
             best[side] = min(best[side], time.perf_counter() - start)
-        if not np.array_equal(outputs[0], outputs[1]):
+        error = max(error, float(np.abs(outputs[0] - outputs[1]).max()))
+        if bound is None and not np.array_equal(outputs[0], outputs[1]):
             raise AssertionError("layer output differs from its dense reference")
-    return best
+        if bound is not None and error > bound:
+            raise AssertionError(f"layer output is {error:.3g} from its dense reference")
+    return best, error
 
 
 def bench_size(model: OpticalModel, n_px: int, seed: int, repeats: int) -> Dict[str, object]:
     polygons = seeded_polygons(n_px, seed)
     region = Rect(0.0, 0.0, n_px * PIXEL_NM, n_px * PIXEL_NM)
-    raster_s, dense_raster_s = best_of(repeats, (
+    (raster_s, dense_raster_s), _ = best_of(repeats, (
         lambda: rasterize(polygons, region, PIXEL_NM).data,
         lambda: dense_rasterize(polygons, region, PIXEL_NM),
     ))
@@ -151,10 +162,10 @@ def bench_size(model: OpticalModel, n_px: int, seed: int, repeats: int) -> Dict[
     start = time.perf_counter()
     model.aerial_image(mask)  # builds and caches this geometry's kernels
     first_call_s = time.perf_counter() - start
-    aerial_s, dense_aerial_s = best_of(repeats, (
+    (aerial_s, dense_aerial_s), aerial_error = best_of(repeats, (
         lambda: model.aerial_image(mask).intensity,
         lambda: dense_aerial(model, mask),
-    ))
+    ), bound=AERIAL_BOUND)
     row = {
         "pixels": n_px,
         "rectangles": sum(len(decompose_rectilinear(p)) for p in polygons),
@@ -167,7 +178,8 @@ def bench_size(model: OpticalModel, n_px: int, seed: int, repeats: int) -> Dict[
         "aerial_image_dense_reference_ms": round(dense_aerial_s * 1e3, 2),
         "aerial_image_speedup": round(dense_aerial_s / aerial_s, 2),
         "kernel_build_ms": round(max(first_call_s - aerial_s, 0.0) * 1e3, 2),
-        "bit_identical": True,
+        "rasterize_bit_identical": True,
+        "aerial_image_max_abs_error": aerial_error,
     }
     print(f"  {n_px} px: rasterize {row['rasterize_ms']} ms "
           f"(dense {row['rasterize_dense_reference_ms']}), aerial_image "
@@ -210,7 +222,7 @@ def measure(sizes: Sequence[int], repeats: int, seed: int, with_flow: bool) -> D
     return payload
 
 
-def test_litho_layers_exact():
+def test_litho_layers_match_dense_references():
     measure(sizes=[128, 192], repeats=1, seed=3, with_flow=False)
 
 

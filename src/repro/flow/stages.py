@@ -200,7 +200,7 @@ class OpcStage(FlowStage):
     """Mask synthesis: none / rule / model / selective."""
 
     name = "opc"
-    version = 1
+    version = 2  # v2: coarse-grid SOCS
 
     def requires(self, config: "FlowConfig") -> Tuple[str, ...]:
         if config.opc_mode == "selective":
@@ -253,7 +253,8 @@ class MetrologyStage(FlowStage):
 
     name = "metrology"
     # v2: quarantines unsound measurements, emits cd_quarantine
-    version = 3  # v3: optional shard-planned windows (config.litho_shards)
+    # v3: optional shard-planned windows (config.litho_shards)
+    version = 4  # v4: coarse-grid SOCS
 
     def requires(self, config: "FlowConfig") -> Tuple[str, ...]:
         return ("place", "opc")

@@ -7,21 +7,28 @@ Two engines compute the same Hopkins integral:
 * **SOCS** (sum of coherent systems): the transmission cross coefficients
   are assembled on the band-limited frequency support, eigendecomposed
   once per (grid, defocus) and cached.  This is the production path,
-  exactly as in the OPC tools of the paper's era.  Each aerial image costs
-  one forward FFT plus, per retained kernel, the two 1-D passes of an
-  inverse 2-D FFT pruned to the band: the x pass runs only over the grid
-  rows the pupil support touches (~10% of them), the y pass over every
-  column.  Pass order and accumulation order match a full-grid ``ifft2``
-  per kernel, so the image is bit-identical to that formulation at about
-  half its cost.
+  exactly as in the OPC tools of the paper's era.
+
+Each SOCS kernel's field is band-limited to the pupil support (+-k_max
+bins, 25 at 512 px and 8 nm/px), so the intensity is band-limited to
++-2 k_max.  An aerial image therefore costs one forward FFT of the mask,
+one inverse FFT per retained kernel on a coarse grid of m >= 4 k_max + 2
+samples per axis (108 x 108 for a 512 px window, 216 x 216 at 1024 px),
+and one Fourier upsample of the summed coarse intensity to the full grid.
+Where the support is too wide for a smaller grid (coarse pixels), the axis
+keeps all n bins and is not resampled.  The image equals a dense per-kernel
+``ifft2`` on the full grid up to FFT rounding (<= 4e-15 on unit-clear-field
+images; tests bound it at 1e-12) and is 12-15x faster than it at 512-1024
+px; it is not bit-identical to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from repro.litho.pupil import Pupil
 from repro.litho.raster import MaskGrid
@@ -92,6 +99,48 @@ class AerialImage:
         values = self.values_at(xs, ys)
         length = float(np.hypot(x_end - x_start, y_end - y_start))
         return ts * length, values
+
+
+class CoarsePlan(NamedTuple):
+    """Where one window geometry's SOCS fields are computed.
+
+    ``shape`` is the coarse (m_y, m_x) grid and ``index`` the coarse
+    (row, col) of each support entry.  ``src`` picks the coarse image's
+    half-spectrum bins that carry the intensity band and ``dst`` places
+    them in the full grid's half-spectrum.
+    """
+
+    shape: Tuple[int, int]
+    index: Tuple[np.ndarray, np.ndarray]
+    src: Tuple[np.ndarray, slice]
+    dst: Tuple[np.ndarray, slice]
+
+
+def _axis_plan(bins: np.ndarray, n: int) -> Tuple[int, np.ndarray, Optional[int]]:
+    """Coarse size, coarse index of each support bin, and the intensity
+    band half-width along one axis (None when the axis keeps all n bins)."""
+    signed = np.where(bins > n // 2, bins - n, bins)
+    k_max = int(np.abs(signed).max())
+    m = next_fast_len(4 * k_max + 2, real=True)
+    if m >= n:
+        return n, bins, None
+    # |field|^2 spans +-2 k_max bins; below m/2 the coarse samples cannot alias.
+    assert 2 * k_max < m / 2, (k_max, m)
+    return m, signed % m, 2 * k_max
+
+
+def coarse_plan(support: Tuple[np.ndarray, np.ndarray], ny: int, nx: int) -> CoarsePlan:
+    """Per axis, the smallest 2-3-5-smooth grid m >= 4 k_max + 2 (capped at
+    the window size) on which the SOCS intensity is exactly sampled."""
+    my, rows, band_y = _axis_plan(support[0], ny)
+    mx, cols, band_x = _axis_plan(support[1], nx)
+    if band_y is None:
+        src_rows = dst_rows = np.arange(ny)
+    else:
+        signed = np.arange(-band_y, band_y + 1)
+        src_rows, dst_rows = signed % my, signed % ny
+    width = slice(0, nx // 2 + 1 if band_x is None else band_x + 1)
+    return CoarsePlan((my, mx), (rows, cols), (src_rows, width), (dst_rows, width))
 
 
 class OpticalModel:
@@ -187,28 +236,32 @@ class OpticalModel:
 
     def _socs(self, transmission: np.ndarray, pixel: float, defocus_nm: float) -> np.ndarray:
         ny, nx = transmission.shape
-        eigvals, support, vectors, rows, row_of = self._kernels(nx, ny, pixel, defocus_nm)
+        eigvals, support, vectors, plan = self._kernels(nx, ny, pixel, defocus_nm)
         masked_spectrum = np.fft.fft2(transmission)[support]
-        # The two 1-D passes of ``ifft2``, in its order, pruned to the band:
-        # the x pass runs only over the support rows, and the y pass runs
-        # along the last axis of the transposed field, so each pixel sees
-        # the same arithmetic as a full-grid ``ifft2`` of the kernel.
-        band = np.zeros((rows.size, nx), dtype=complex)
-        columns = np.zeros((nx, ny), dtype=complex)
-        intensity_t = np.zeros((nx, ny))
+        # Each kernel's field is band-limited to the support, so its
+        # intensity is sampled without aliasing on the coarse grid.
+        my, mx = plan.shape
+        grid = np.zeros(plan.shape, dtype=complex)
+        coarse = np.zeros(plan.shape)
         for value, vec in zip(eigvals, vectors):
-            band[row_of, support[1]] = masked_spectrum * vec
-            columns[:, rows] = np.fft.ifft(band).T
-            intensity_t += value * np.abs(np.fft.ifft(columns)) ** 2
-        return np.ascontiguousarray(intensity_t.T)
+            grid[plan.index] = masked_spectrum * vec
+            coarse += value * np.abs(np.fft.ifft2(grid)) ** 2
+        coarse *= (my * mx / (ny * nx)) ** 2
+        if plan.shape == (ny, nx):
+            return coarse
+        # One Fourier upsample: the coarse image's band, zero-padded into
+        # the full grid's half-spectrum (the intensity is real).
+        half = np.zeros((ny, nx // 2 + 1), dtype=complex)
+        half[plan.dst] = np.fft.rfft2(coarse)[plan.src]
+        image = np.fft.irfft2(half, s=(ny, nx))
+        image *= ny * nx / (my * mx)
+        return image
 
     def _kernels(self, nx: int, ny: int, pixel: float, defocus_nm: float):
         """Cached TCC eigen-kernels for a grid geometry.
 
         Returns (eigvals, support_index_tuple, list_of_eigvecs,
-        support_rows, row_of_entry): ``support_rows`` are the sorted grid
-        rows the support touches and ``row_of_entry[k]`` is the position of
-        support entry ``k``'s row among them.  The clear field of the
+        coarse_plan): see :func:`coarse_plan`.  The clear field of the
         truncated kernel set is renormalized to exactly 1.
         """
         key = (nx, ny, round(pixel, 9), round(defocus_nm, 6),
@@ -260,7 +313,6 @@ class OpticalModel:
             raise RuntimeError("SOCS truncation lost the DC response")
         kept_vals = kept_vals / clear
 
-        rows, row_of = np.unique(support[0], return_inverse=True)
-        result = (kept_vals, support, kept_vecs, rows, row_of)
+        result = (kept_vals, support, kept_vecs, coarse_plan(support, ny, nx))
         self._kernel_cache[key] = result
         return result

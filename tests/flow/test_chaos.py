@@ -72,6 +72,13 @@ def _flows(tech, lib, **kwargs):
     return {"c17": _flow(tech, lib, **kwargs)}
 
 
+def _flows_hanging_in_metrology(tech, lib):
+    """c17 flows whose metrology stage blocks until the plan is released,
+    so a short deadline expires mid-run however fast the flow computes."""
+    plan = FaultPlan([FaultSpec(site="stage-hang", match="metrology")])
+    return plan, _flows(tech, lib, context=FlowContext(fault_plan=plan))
+
+
 # -- the harness itself -------------------------------------------------------
 
 
@@ -288,15 +295,20 @@ class TestServiceFaults:
         assert records[-1]["reason"] == "hung-stage"
 
     def test_deadline_exceeded_fails_job_with_exit_2(self, tech, lib):
+        plan, flows = _flows_hanging_in_metrology(tech, lib)
+
         async def scenario():
-            async with FlowService(
-                _flows(tech, lib), workers=1, watchdog_poll_s=0.05,
-            ) as service:
-                job = service.submit("c17", config=FAST, deadline_s=0.2)
-                report = await service.report(job, timeout=600)
-                with pytest.raises(ServiceRejectedError) as excinfo:
-                    await service.result(job, timeout=600)
-                return report, excinfo.value.reason
+            try:
+                async with FlowService(
+                    flows, workers=1, watchdog_poll_s=0.05,
+                ) as service:
+                    job = service.submit("c17", config=FAST, deadline_s=0.2)
+                    report = await service.report(job, timeout=600)
+                    with pytest.raises(ServiceRejectedError) as excinfo:
+                        await service.result(job, timeout=600)
+                    return report, excinfo.value.reason
+            finally:
+                plan.release()
 
         report, reason = asyncio.run(scenario())
         assert report["state"] == "failed"
@@ -309,12 +321,15 @@ class TestServiceFaults:
         config = FlowConfig(opc_mode="rule", clock_period_ps=500,
                             deadline_s=0.2)
 
+        plan, flows = _flows_hanging_in_metrology(tech, lib)
+
         async def scenario():
-            async with FlowService(
-                _flows(tech, lib), watchdog_poll_s=0.05,
-            ) as service:
-                job = service.submit("c17", config=config)
-                return await service.report(job, timeout=600)
+            try:
+                async with FlowService(flows, watchdog_poll_s=0.05) as service:
+                    job = service.submit("c17", config=config)
+                    return await service.report(job, timeout=600)
+            finally:
+                plan.release()
 
         report = asyncio.run(scenario())
         assert report["state"] == "failed"
