@@ -116,8 +116,7 @@ def cmd_flow(args) -> int:
     config = FlowConfig(opc_mode=args.opc, clock_period_ps=args.period,
                         n_critical_paths=args.paths,
                         max_quarantine_fraction=args.max_quarantine_fraction,
-                        litho_shards=args.litho_shards,
-                        incremental_sta=not args.full_sta)
+                        litho_shards=args.litho_shards)
     journal = _open_journal(args, flow, config, "flow")
     scheduler = None
     if getattr(args, "async_dag", False):
@@ -179,7 +178,6 @@ def cmd_sweep(args) -> int:
         n_critical_paths=args.paths,
         max_quarantine_fraction=args.max_quarantine_fraction,
         litho_shards=args.litho_shards,
-        incremental_sta=not args.full_sta,
     )
     journal = _open_journal(args, flow, base, "sweep")
     try:
@@ -403,10 +401,6 @@ def _add_scale_args(sub) -> None:
                           "(0 = classic tile path); results are "
                           "bit-identical between serial and parallel "
                           "execution of the same shard plan")
-    sub.add_argument("--full-sta", action="store_true",
-                     help="recompute the post-OPC STA from scratch instead "
-                          "of incrementally re-timing the drawn STA "
-                          "(same result, slower; for cross-checking)")
 
 
 def _add_scheduler_args(sub) -> None:

@@ -30,7 +30,6 @@ from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -66,15 +65,12 @@ from repro.pdk import Layers, Technology
 from repro.place import Placement, instance_gate_rects, place_rows
 from repro.place.assembler import GateRectMap
 from repro.timing import (
-    InstanceDerate,
     StaEngine,
     StaResult,
-    TimingConstraints,
     TimingPath,
     characterize_library,
     top_paths,
 )
-from repro.timing.incremental import retime as retime_sta
 from repro.variation import DoseDefocusMap
 
 OPC_MODES = ("none", "rule", "model", "selective")
@@ -109,10 +105,6 @@ class FlowConfig:
     #: scale path — measurements differ slightly from the tile path
     #: because the FFT window geometry differs, so this is a cache key)
     litho_shards: int = 0
-    #: re-time the post-OPC STA incrementally from the drawn STA
-    #: (cone-limited, bit-identical to a full run); False forces the
-    #: full engine run
-    incremental_sta: bool = True
     #: wall-clock budget for a service job running this config; the
     #: service watchdog fails the job (exit code 2, reason ``deadline``)
     #: when exceeded.  None = no per-config deadline (the service default
@@ -523,30 +515,6 @@ class PostOpcTimingFlow:
         if counters is not None:
             counters["opc_tiles"] = len(tasks)
         return out
-
-    # -- incremental re-timing ------------------------------------------------
-
-    def retime(
-        self,
-        previous: StaResult,
-        old_derates: Mapping[str, InstanceDerate],
-        new_derates: Mapping[str, InstanceDerate],
-        config: Optional[FlowConfig] = None,
-    ) -> StaResult:
-        """Cone-limited re-timing of a what-if derate change.
-
-        Updates ``previous`` (an STA computed under ``old_derates``) for
-        ``new_derates``, re-propagating only the fan-out cones of the
-        instances whose derate actually changed — bit-identical to a full
-        :meth:`StaEngine.run` at ``previous.clock_period_ps``, typically
-        orders of magnitude faster when few gates changed.  ``config``
-        only selects the engine (``use_routing``); the constraints are
-        inherited from ``previous``.
-        """
-        config = config or FlowConfig()
-        engine = self._engine_for(config)
-        constraints = TimingConstraints(clock_period_ps=previous.clock_period_ps)
-        return retime_sta(engine, previous, old_derates, new_derates, constraints)
 
     # -- the full pipeline ----------------------------------------------------
 

@@ -87,7 +87,6 @@ _WIRE_CONFIG_FIELDS = (
     "use_routing",
     "max_quarantine_fraction",
     "litho_shards",
-    "incremental_sta",
     "deadline_s",
 )
 

@@ -356,27 +356,24 @@ class BackAnnotateStage(FlowStage):
 class PostStaStage(FlowStage):
     """Post-OPC STA with back-annotated derates (canonical period).
 
-    By default the stage re-times *incrementally* from the drawn STA:
-    only the fan-out cones of the derated instances are re-propagated
-    (:func:`repro.timing.run_incremental`), which is bit-identical to the
-    full engine run — the parity tests enforce it — and far cheaper when
-    selective OPC touched few gates.  ``config.incremental_sta = False``
-    forces the classic full run.
+    The stage re-times *incrementally* from the drawn STA: only the
+    fan-out cones of the derated instances are re-propagated
+    (:func:`repro.timing.run_incremental`), through the same arc loop as
+    the full :meth:`~repro.timing.StaEngine.run`, and bit-identical to it
+    — the parity tests enforce it.
     """
 
     name = "sta_post"
     version = 2  # v2: cone-limited incremental re-time from the drawn STA
 
     def requires(self, config: "FlowConfig") -> Tuple[str, ...]:
-        if config.incremental_sta:
-            return ("place", "sta_drawn", "back_annotate")
-        return ("place", "back_annotate")
+        return ("place", "sta_drawn", "back_annotate")
 
     def provides(self) -> Tuple[str, ...]:
         return ("post_sta",)
 
     def config_slice(self, flow: "PostOpcTimingFlow", config: "FlowConfig") -> Any:
-        return (config.use_routing, config.incremental_sta)
+        return config.use_routing
 
     def run(
         self,
@@ -389,16 +386,13 @@ class PostStaStage(FlowStage):
         engine = flow._engine_for(config)
         constraints = TimingConstraints(clock_period_ps=CANONICAL_PERIOD_PS)
         derates = artifacts["derates"]
-        if config.incremental_sta:
-            # The drawn STA ran derate-free under the same constraints, so
-            # the change set is every instance with a non-identity derate.
-            changed = diff_derates({}, derates)
-            sta = run_incremental(
-                engine, artifacts["drawn_sta"], changed, constraints, derates
-            )
-            counters["retimed_instances"] = len(changed)
-        else:
-            sta = engine.run(constraints, derates)
+        # The drawn STA ran derate-free under the same constraints, so the
+        # change set is every instance with a non-identity derate.
+        changed = diff_derates({}, derates)
+        sta = run_incremental(
+            engine, artifacts["drawn_sta"], changed, constraints, derates
+        )
+        counters["retimed_instances"] = len(changed)
         counters["endpoints"] = len(sta.endpoints)
         return {"post_sta": sta}
 

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.timing.sta import (
+    _NO_DERATE,
     InstanceDerate,
     StaEngine,
     TimingConstraints,
     TRANSITIONS,
 )
 from repro.units import Picoseconds
-
-_NO_DERATE = InstanceDerate()
 
 
 @dataclass

@@ -4,7 +4,9 @@ Selective OPC changes a handful of instances; re-deriving the whole chip's
 timing for each what-if is wasteful.  ``run_incremental`` re-propagates
 only the fan-out cone of the changed instances (plus the drivers of their
 input nets, whose loads changed with the instances' pin capacitance) and
-splices the result into the previous analysis.
+splices the result into the previous analysis.  The cone goes through the
+engine's own arc loop (:meth:`StaEngine._propagate`), so there is one
+max-arrival propagation to keep exact, not two.
 
 The result is bit-identical to a full re-run — enforced by parity tests
 (``tests/timing/test_incremental_parity.py``), not merely asserted —
@@ -22,12 +24,12 @@ Two properties keep the cone small on register-rich fabrics:
 * Driver lookups go through :meth:`StaEngine.driver_name_of` (a
   precomputed net -> driver map) instead of the O(gates) netlist scan.
 
-``retime`` is the flow-facing entry: diff two derate annotations with
-:func:`diff_derates` and re-propagate only instances whose derate actually
-changed.  All incremental entry points assume ``constraints`` match the
-previous run's except for the clock period (arrivals inherited from
-outside the cone were computed under the previous input slew/arrival and
-output load).
+``retime`` (exported as :func:`repro.timing.retime`) is the what-if entry:
+it diffs two derate annotations with :func:`diff_derates` and
+re-propagates only instances whose derate actually changed.  All
+incremental entry points assume ``constraints`` match the previous run's
+except for the clock period (arrivals inherited from outside the cone were
+computed under the previous input slew/arrival and output load).
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ from __future__ import annotations
 from typing import Mapping, Optional, Set
 
 from repro.timing.sta import (
+    _NO_DERATE,
     InstanceDerate,
     StaEngine,
     StaResult,
     TimingConstraints,
     TRANSITIONS,
 )
-
-_NO_DERATE = InstanceDerate()
 
 
 def diff_derates(
@@ -120,61 +121,17 @@ def run_incremental(
     result.slews = dict(previous.slews)
     result.predecessors = dict(previous.predecessors)
 
-    # Clear the cone's output nodes, then re-propagate just those gates.
-    for gate_name in cone:
-        gate = engine.netlist.gates[gate_name]
-        cell = engine.cells[gate.cell_name]
-        out_net = gate.connections[cell.output]
+    # Clear the cone's output nodes, then re-propagate just those gates in
+    # full-run order.  A cone net's single driver is in the cone, so every
+    # arc writing it is replayed exactly as the full run replays it.
+    gates = [g for g in engine._order if g.name in cone]
+    for gate in gates:
+        out_net = gate.connections[engine.cells[gate.cell_name].output]
         for transition in TRANSITIONS:
             result.arrivals.pop((out_net, transition), None)
             result.slews.pop((out_net, transition), None)
             result.predecessors.pop((out_net, transition), None)
-
-    for gate in engine._order:
-        if gate.name not in cone:
-            continue
-        cell = engine.cells[gate.cell_name]
-        lib_cell = engine.liberty[gate.cell_name]
-        derate = derates.get(gate.name, _NO_DERATE)
-        out_net = gate.connections[cell.output]
-        load = engine.net_load_ff(out_net, constraints, derates)
-
-        if lib_cell.is_sequential:
-            for transition in TRANSITIONS:
-                scale = (derate.delay_rise_scale if transition == "rise"
-                         else derate.delay_fall_scale)
-                result.arrivals[(out_net, transition)] = lib_cell.clk_to_q * scale
-                result.slews[(out_net, transition)] = constraints.input_slew_ps
-                result.predecessors[(out_net, transition)] = None
-            continue
-
-        for arc in lib_cell.arcs:
-            in_net = gate.connections[arc.input_pin]
-            for in_transition in TRANSITIONS:
-                key_in = (in_net, in_transition)
-                if key_in not in result.arrivals:
-                    continue
-                for out_transition in arc.output_transitions(in_transition):
-                    delay_table, slew_table = arc.tables_for(out_transition)
-                    scale = (derate.delay_rise_scale if out_transition == "rise"
-                             else derate.delay_fall_scale)
-                    delay = delay_table.lookup(result.slews[key_in], load) * scale
-                    delay += engine._wire_delay_ps(out_net, load)
-                    out_slew = slew_table.lookup(result.slews[key_in], load)
-                    key_out = (out_net, out_transition)
-                    candidate = result.arrivals[key_in] + delay
-                    if candidate > result.arrivals.get(key_out, -float("inf")):
-                        result.arrivals[key_out] = candidate
-                        result.slews[key_out] = out_slew
-                        result.predecessors[key_out] = (
-                            in_net, in_transition, gate.name, delay
-                        )
-                    elif key_out in result.slews:
-                        # Worst-slew merge, matching the full engine: the
-                        # cone net's single driver is in the cone, so every
-                        # arc writing key_out is replayed in full-run order.
-                        result.slews[key_out] = max(result.slews[key_out], out_slew)
-
+    engine._propagate(result, gates, constraints, derates)
     engine._collect_endpoints(result, constraints)
     return result
 

@@ -10,10 +10,10 @@ capacitances without re-characterizing the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cells import CellLibrary
-from repro.circuits import Netlist
+from repro.circuits import Gate, Netlist
 from repro.place.placer import Placement
 from repro.timing.liberty import LibertyLibrary
 from repro.units import Dimensionless, Femtofarads, Picoseconds
@@ -250,7 +250,27 @@ class StaEngine:
                 slews[(net, transition)] = constraints.input_slew_ps
                 result.predecessors[(net, transition)] = None
 
-        for gate in self._order:
+        self._propagate(result, self._order, constraints, derates)
+        self._collect_endpoints(result, constraints)
+        return result
+
+    def _propagate(
+        self,
+        result: StaResult,
+        gates: Sequence[Gate],
+        constraints: TimingConstraints,
+        derates: Mapping[str, InstanceDerate],
+    ) -> None:
+        """Propagate arrivals, slews and predecessors through ``gates``.
+
+        ``gates`` must be in topological order.  Their input nodes are read
+        from ``result``: primary inputs seeded by :meth:`run`, or nodes an
+        incremental re-time kept from an earlier run outside its cone.
+        """
+        arrivals = result.arrivals
+        slews = result.slews
+
+        for gate in gates:
             cell = self.cells[gate.cell_name]
             lib_cell = self.liberty[gate.cell_name]
             derate = derates.get(gate.name, _NO_DERATE)
@@ -291,9 +311,6 @@ class StaEngine:
                         elif key_out in slews:
                             # Worst-slew merge, the conservative STA habit.
                             slews[key_out] = max(slews[key_out], out_slew)
-
-        self._collect_endpoints(result, constraints)
-        return result
 
     def _collect_endpoints(
         self, result: StaResult, constraints: TimingConstraints

@@ -469,10 +469,17 @@ class TestOrphanRecovery:
         ]
         assert "resumed" in types and types[-1] == "complete"
 
-    def test_unresumable_orphan_fails_terminally(self, tech, lib, tmp_path):
+    @pytest.mark.parametrize("stale", ["fingerprint", "retired_wire_field"])
+    def test_unresumable_orphan_fails_terminally(
+        self, tech, lib, tmp_path, stale
+    ):
         flows = _flows(tech, lib)
         manifest = _orphan_manifest(flows["c17"], FAST)
-        manifest["fingerprint"] = "deadbeef"  # a different build's run
+        if stale == "fingerprint":
+            manifest["fingerprint"] = "deadbeef"  # a different build's run
+        else:
+            # a journal written while incremental_sta was still a wire field
+            manifest["config_wire"]["incremental_sta"] = True
         journal = RunJournal.create(str(tmp_path / "job-0009"), manifest)
         journal.close()
 

@@ -1,7 +1,7 @@
 """Scale path through the flow: sharded metrology + incremental STA.
 
-The fast tests pin the wiring on a small design: the incremental
-``sta_post`` default is bit-identical to a full re-run, sharded metrology
+The fast tests pin the wiring on a small design: the ``sta_post`` stage's
+incremental re-time is bit-identical to a full engine run, sharded metrology
 feeds the same back-annotation contract, and the shard count participates
 in the stage cache key (shard windows measure slightly different CDs than
 512-pixel tiles, so the two must never share cache entries).
@@ -15,10 +15,12 @@ import pytest
 
 from repro.cells import build_library
 from repro.circuits import c17, structured_asic
-from repro.flow import FlowConfig, ParallelExecutor, PostOpcTimingFlow
+from repro.flow import FlowConfig, FlowTrace, ParallelExecutor, PostOpcTimingFlow
+from repro.flow.stages import CANONICAL_PERIOD_PS
 from repro.metrology import plan_metrology_shards
 from repro.metrology.gate_cd import measure_tile_chunk
 from repro.pdk import make_tech_90nm
+from repro.timing import TimingConstraints
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +52,20 @@ class TestShardedFlowFast:
     def flow(self, tech, lib):
         return PostOpcTimingFlow(c17(lib), tech, cells=lib)
 
-    def test_incremental_default_bit_identical(self, flow):
-        full = flow.run(FlowConfig(opc_mode="rule", incremental_sta=False))
-        inc = flow.run(FlowConfig(opc_mode="rule", incremental_sta=True))
-        _sta_equal(full.post_sta, inc.post_sta)
-        assert full.wns_post == inc.wns_post
-        record = _stage_record(inc, "sta_post")
-        assert record.counters.get("retimed_instances", 0) > 0
-
-    def test_incremental_is_the_default(self):
-        assert FlowConfig().incremental_sta is True
+    def test_sta_post_matches_full_engine_run(self, flow):
+        """The stage's incremental re-time equals a full engine run."""
+        config = FlowConfig(opc_mode="rule")
+        trace = FlowTrace()
+        artifacts = flow.graph.execute(flow, config, flow.context, trace)
+        full = flow.engine.run(
+            TimingConstraints(clock_period_ps=CANONICAL_PERIOD_PS),
+            artifacts["derates"],
+        )
+        post = artifacts["post_sta"]
+        _sta_equal(full, post)
+        assert full.predecessors == post.predecessors
+        record = [r for r in trace if r.name == "sta_post"][-1]
+        assert record.counters["retimed_instances"] == len(flow.netlist.gates)
 
     def test_sharded_metrology_end_to_end(self, flow):
         report = flow.run(FlowConfig(opc_mode="rule", litho_shards=2))

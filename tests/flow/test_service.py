@@ -256,10 +256,13 @@ class TestSocketProtocol:
                 assert not rejected["ok"]
                 assert rejected["reason"] == "unknown-design"
 
-                bad_field = await rpc({"op": "submit", "design": "c17",
-                                       "config": {"rule_recipe": 1}})
-                assert not bad_field["ok"]
-                assert bad_field["reason"] == "bad-config"
+                # not a wire field, and a retired one
+                for bad_config in ({"rule_recipe": 1},
+                                   {"incremental_sta": False}):
+                    bad_field = await rpc({"op": "submit", "design": "c17",
+                                           "config": bad_config})
+                    assert not bad_field["ok"]
+                    assert bad_field["reason"] == "bad-config"
 
                 bad_op = await rpc({"op": "frobnicate"})
                 assert not bad_op["ok"] and bad_op["reason"] == "bad-config"

@@ -83,7 +83,10 @@ def random_derates(netlist, rng, fraction, with_failed=True):
 
 
 class TestFabricParity:
-    @pytest.mark.parametrize("seed,fraction", [(11, 0.02), (12, 0.05), (13, 0.2)])
+    # 1.0 is the flow's case: the sta_post stage derates every instance
+    @pytest.mark.parametrize(
+        "seed,fraction", [(11, 0.02), (12, 0.05), (13, 0.2), (14, 1.0)]
+    )
     def test_mixed_derates_bit_identical(self, fabric_engine, seed, fraction):
         netlist, engine = fabric_engine
         constraints = TimingConstraints(clock_period_ps=900.0)

@@ -123,6 +123,30 @@ class TestBasicSta:
         assert "loop" in nets  # the DFF D pin is an endpoint
         assert result.critical_delay > 0  # clk->Q then through the inverter
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "order-dependent slew merge: an arc that wins on arrival overwrites "
+        "the worst slew merged so far (c17: one node low by 0.26 ps)"))
+    def test_slew_is_worst_over_arcs(self, lib, liberty):
+        """A node's slew is the max of its arcs' slews, in any arc order."""
+        engine = make_engine(c17(lib), lib, liberty)
+        constraints = TimingConstraints()
+        result = engine.run(constraints)
+        worst = {}
+        for gate in engine.netlist.gates.values():
+            out_net = gate.connections[lib[gate.cell_name].output]
+            load = engine.net_load_ff(out_net, constraints, {})
+            for arc in liberty[gate.cell_name].arcs:
+                in_net = gate.connections[arc.input_pin]
+                for in_transition in ("rise", "fall"):
+                    slew_in = result.slews[(in_net, in_transition)]
+                    for out_transition in arc.output_transitions(in_transition):
+                        _, slew_table = arc.tables_for(out_transition)
+                        key = (out_net, out_transition)
+                        worst[key] = max(worst.get(key, 0.0),
+                                         slew_table.lookup(slew_in, load))
+        assert len(worst) == 12
+        assert {key: result.slews[key] for key in worst} == worst
+
 
 class TestPaths:
     def test_path_reconstruction_consistent(self, lib, liberty):
