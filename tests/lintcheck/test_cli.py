@@ -94,6 +94,20 @@ class TestCorpus:
             "dtype-drift", "silent-broadcast", "python-loop-over-ndarray",
         }
 
+    def test_corpus_findings_match_golden(self, monkeypatch, capsys):
+        # The corpus is the spec: every finding, message text included,
+        # is pinned.  Regenerate with
+        #   PYTHONPATH=src python -m repro lint tests/lintcheck/corpus \
+        #       --no-waivers --format json > tests/lintcheck/corpus_findings.json
+        monkeypatch.chdir(REPO_ROOT)
+        rc = main(["lint", "tests/lintcheck/corpus", "--no-waivers",
+                   "--format", "json"])
+        assert rc == 1
+        with open(os.path.join(REPO_ROOT, "tests", "lintcheck",
+                               "corpus_findings.json"), encoding="utf-8") as fh:
+            golden = fh.read()
+        assert capsys.readouterr().out == golden
+
     def test_waived_file_is_clean(self):
         waived = os.path.join(CORPUS, "waived_ok.py")
         assert check_paths([waived]) == []
