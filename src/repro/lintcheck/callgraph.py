@@ -18,15 +18,23 @@ are resolved statically by name:
 Resolution is deliberately conservative: anything dynamic (computed
 attributes, values from containers, ``getattr``) resolves to ``None``
 and the dataflow rules treat the call as opaque.
+
+:func:`solve` is the one interprocedural summary fixpoint every
+whole-program rule uses; :class:`BodyWalker` is the statement walk the
+units and taint evaluators share.
 """
 
 from __future__ import annotations
 
 import ast
+import heapq
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Generic, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple, TypeVar, Union,
+)
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -34,6 +42,9 @@ _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: :attr:`FunctionInfo.is_async` telling them apart (the concurrency
 #: rules need to know which side of the event loop a body runs on)
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: a summary value (return unit, taint labels, lock set, ...)
+V = TypeVar("V")
 
 
 def module_name_for(path: str) -> Tuple[str, str]:
@@ -480,6 +491,158 @@ class Project:
                 out.append((module.name, node.id,
                             ast.dump(module.constants[node.id])))
         return sorted(out)
+
+
+def solve(
+    keys: Iterable[str],
+    initial: Mapping[str, V],
+    transfer: Callable[[str, Callable[[str], Optional[V]]], V],
+) -> Dict[str, V]:
+    """The interprocedural summary fixpoint, over function qualnames.
+
+    ``transfer(key, read)`` returns ``key``'s summary; ``read(other)``
+    returns ``other``'s current summary (seeded from ``initial``, None
+    when it has none) and records that ``key`` depends on it.  Every key
+    is evaluated once; after that a key is re-evaluated only when a
+    summary it read has changed.  Pending keys run in sorted order, so
+    the result does not depend on dict or set order.  A total budget of
+    ten evaluations per key is the backstop for a transfer that never
+    settles, not a convergence criterion.
+    """
+    values: Dict[str, V] = dict(initial)
+    readers: Dict[str, Set[str]] = {}
+    pending = sorted(set(keys))  # a sorted list is a valid heap
+    queued = set(pending)
+    budget = 10 * len(pending)
+    while pending and budget:
+        budget -= 1
+        key = heapq.heappop(pending)
+        queued.discard(key)
+
+        def read(other: str) -> Optional[V]:
+            readers.setdefault(other, set()).add(key)
+            return values.get(other)
+
+        value = transfer(key, read)
+        if value != values.get(key):
+            values[key] = value
+            for reader in readers.get(key, ()):
+                if reader not in queued:
+                    queued.add(reader)
+                    heapq.heappush(pending, reader)
+    return values
+
+
+class BodyWalker(Generic[V]):
+    """One forward pass over a function body, generic in the value domain.
+
+    The statement walk the units and taint evaluators share: assignments
+    bind, both arms of every branch and loop run against one environment
+    (an over-approximation), and nested defs/classes are skipped (they get
+    their own summaries).  Subclasses supply :meth:`eval`, :meth:`_bind`
+    and the hooks for annotated/augmented assignment, ``return``, and the
+    value a ``for`` loop or comprehension iterates.
+    """
+
+    def eval(self, expr: ast.expr) -> V:
+        raise NotImplementedError
+
+    def _bind(self, target: ast.expr, value: V, source: Optional[ast.expr]) -> None:
+        raise NotImplementedError
+
+    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
+        raise NotImplementedError
+
+    def _aug_assign(self, stmt: ast.AugAssign) -> None:
+        raise NotImplementedError
+
+    def _return(self, value: V) -> None:
+        raise NotImplementedError
+
+    def _iterate(self, iterable: ast.expr) -> V:
+        """Value bound to the loop target: by default the iterable's own
+        (iterating a sequence of X yields X per element)."""
+        return self.eval(iterable)
+
+    def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
+        for stmt in stmts:
+            self.exec_stmt(stmt)
+
+    def exec_stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            value = self.eval(stmt.value)
+            for target in stmt.targets:
+                self._bind(target, value, stmt.value)
+        elif isinstance(stmt, ast.AnnAssign):
+            self._ann_assign(stmt)
+        elif isinstance(stmt, ast.AugAssign):
+            self._aug_assign(stmt)
+        elif isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                self._return(self.eval(stmt.value))
+        elif isinstance(stmt, ast.Expr):
+            self.eval(stmt.value)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._bind(stmt.target, self._iterate(stmt.iter), None)
+            self.exec_block(stmt.body)
+            self.exec_block(stmt.orelse)
+        elif isinstance(stmt, (ast.While, ast.If)):
+            self.eval(stmt.test)
+            self.exec_block(stmt.body)
+            self.exec_block(stmt.orelse)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                value = self.eval(item.context_expr)
+                if item.optional_vars is not None:
+                    self._bind(item.optional_vars, value, None)
+            self.exec_block(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            self.exec_block(stmt.body)
+            for handler in stmt.handlers:
+                self.exec_block(handler.body)
+            self.exec_block(stmt.orelse)
+            self.exec_block(stmt.finalbody)
+        elif isinstance(stmt, (ast.Raise, ast.Assert)):
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.expr):
+                    self.eval(child)
+
+    def _enter_generators(self, generators: Sequence[ast.comprehension]) -> None:
+        """Bind a comprehension's targets and evaluate its conditions."""
+        for gen in generators:
+            self._bind(gen.target, self._iterate(gen.iter), None)
+            for condition in gen.ifs:
+                self.eval(condition)
+
+
+def dotted_name(module: ModuleInfo, expr: ast.expr) -> Optional[str]:
+    """Fully-qualified dotted name of ``expr`` via the module's imports.
+
+    ``np.random.default_rng`` -> ``numpy.random.default_rng`` when the
+    module did ``import numpy as np``; a bare imported name resolves to
+    its target (``from time import time`` makes ``time`` ->
+    ``time.time``), any other bare name to itself, and everything local
+    or dynamic to None."""
+    parts: List[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    root = module.imports.get(node.id)
+    if root is None:
+        return node.id if not parts else None
+    return ".".join([root] + list(reversed(parts)))
+
+
+def call_simple_name(call: ast.Call) -> Optional[str]:
+    """``f`` for ``f(...)`` and ``obj.f(...)``; None for anything else."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
 
 
 def frozen_env(env: Mapping[str, str]) -> FrozenSet[Tuple[str, str]]:

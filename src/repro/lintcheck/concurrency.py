@@ -32,6 +32,10 @@ properties that matter:
     unless routed through ``asyncio.to_thread``.  The inverse is also
     checked: asyncio primitives touched from thread context.
 
+The per-function tables (locks held at every call site, transitive
+acquire sets, the shortest chain to a blocking operation) are solved by
+the shared :func:`~repro.lintcheck.callgraph.solve`: lock sets only grow
+over a finite lattice, and shortest chains never revisit a function.
 The static model is deliberately lexical and conservative in the same
 way :mod:`repro.lintcheck.taint` is; the runtime companion
 :mod:`repro.lintcheck.lcsan` validates it against observed executions.
@@ -42,16 +46,16 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.lintcheck.callgraph import FunctionInfo, ModuleInfo, Project
+from repro.lintcheck.callgraph import FunctionInfo, ModuleInfo, Project, dotted_name, solve
 from repro.lintcheck.core import Finding, ProjectRule, register
 
 _CACHE_KEY = "concurrency-model"
-_MAX_ROUNDS = 10
 
 #: (class qualname, attribute name) — identity of one instance lock
 LockId = Tuple[str, str]
+LockSet = FrozenSet[LockId]
 
 #: threading factories that create a lock attribute; value = reentrant
 _LOCK_FACTORIES: Dict[str, bool] = {
@@ -194,24 +198,6 @@ class ConcurrencyModel:
         return self.locks.get(cls_qualname, {})
 
 
-def _dotted_call(module: ModuleInfo, func_expr: ast.expr) -> Optional[str]:
-    """``threading.Lock`` / ``asyncio.to_thread`` style dotted name of a
-    call target, resolved through the module's import aliases; ``None``
-    for anything local or dynamic."""
-    parts: List[str] = []
-    node = func_expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = module.imports.get(node.id)
-    if root is None:
-        return None
-    parts.append(root)
-    return ".".join(reversed(parts))
-
-
 def _collect_locks(project: Project, model: ConcurrencyModel) -> None:
     for cls_qualname in sorted(project.classes):
         cls = project.classes[cls_qualname]
@@ -225,7 +211,7 @@ def _collect_locks(project: Project, model: ConcurrencyModel) -> None:
             value = node.value
             if not isinstance(value, ast.Call):
                 continue
-            dotted = _dotted_call(module, value.func)
+            dotted = dotted_name(module, value.func)
             if dotted not in _LOCK_FACTORIES:
                 continue
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -333,7 +319,7 @@ class _FunctionScan:
             return out
         if isinstance(arg, ast.Call):
             if self.module is not None:
-                dotted = _dotted_call(self.module, arg.func)
+                dotted = dotted_name(self.module, arg.func)
                 if dotted == "functools.partial" and arg.args:
                     return self._entry_targets(arg.args[0])
             return []
@@ -347,7 +333,7 @@ class _FunctionScan:
         thread) and ``loop.run_in_executor(None, f)``."""
         arg: Optional[ast.expr] = None
         if self.module is not None:
-            dotted = _dotted_call(self.module, node.func)
+            dotted = dotted_name(self.module, node.func)
             if dotted == "asyncio.to_thread" and node.args:
                 arg = node.args[0]
             elif dotted == "threading.Thread":
@@ -493,7 +479,7 @@ def _reachability(project: Project, model: ConcurrencyModel) -> None:
             queue.append(site.resolved)
 
 
-def _always_held(project: Project, model: ConcurrencyModel) -> None:
+def _always_held(model: ConcurrencyModel) -> None:
     """Locks held at *every* known call site of a function, fixpointed so
     a helper only ever called under ``self._disk_lock`` inherits it.
     Thread entry points are pinned to the empty set — they are invoked
@@ -506,26 +492,35 @@ def _always_held(project: Project, model: ConcurrencyModel) -> None:
                 callers.setdefault(site.resolved, []).append(
                     (qualname, site.held)
                 )
-    held: Dict[str, FrozenSet[LockId]] = {
-        qualname: frozenset() for qualname in project.functions
-    }
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for qualname in sorted(callers):
-            if qualname in model.entries or qualname not in held:
-                continue
-            meet: Optional[FrozenSet[LockId]] = None
-            for caller_qualname, site_held in callers[qualname]:
-                effective = frozenset(site_held) | held.get(
-                    caller_qualname, frozenset()
-                )
-                meet = effective if meet is None else meet & effective
-            if meet and meet != held[qualname]:
-                held[qualname] = meet
-                changed = True
-        if not changed:
-            break
-    model.always_held = held
+
+    def transfer(qualname: str, read: Callable[[str], Optional[LockSet]]) -> LockSet:
+        meet: Optional[LockSet] = None
+        for caller_qualname, site_held in callers[qualname]:
+            effective = frozenset(site_held) | (read(caller_qualname) or frozenset())
+            meet = effective if meet is None else meet & effective
+        return meet or frozenset()
+
+    model.always_held = solve(
+        [qualname for qualname in callers if qualname not in model.entries],
+        {}, transfer,
+    )
+
+
+def _transitive_acquires(project: Project, model: ConcurrencyModel) -> Dict[str, LockSet]:
+    """What running each function may lock: its own acquisitions plus
+    its sync callees'."""
+    own: Dict[str, Set[LockId]] = {}
+    for acq in model.acquisitions:
+        own.setdefault(acq.func, set()).add(acq.lock)
+
+    def transfer(qualname: str, read: Callable[[str], Optional[LockSet]]) -> LockSet:
+        out = set(own.get(qualname, ()))
+        for site in model.call_sites[qualname]:
+            if site.resolved is not None and not project.functions[site.resolved].is_async:
+                out |= read(site.resolved) or frozenset()
+        return frozenset(out)
+
+    return solve(model.call_sites, {}, transfer)
 
 
 def build_model(project: Project) -> ConcurrencyModel:
@@ -539,12 +534,12 @@ def build_model(project: Project) -> ConcurrencyModel:
         _FunctionScan(project, model, project.functions[qualname]).run()
     _resolve_sites(project, model)
     _reachability(project, model)
-    _always_held(project, model)
+    _always_held(model)
     project.analysis_cache[_CACHE_KEY] = model
     return model
 
 
-def _effective_held(model: ConcurrencyModel, access: AttrAccess) -> FrozenSet[LockId]:
+def _effective_held(model: ConcurrencyModel, access: AttrAccess) -> LockSet:
     return access.held | model.always_held.get(access.func, frozenset())
 
 
@@ -670,26 +665,7 @@ class LockOrderInversionRule(ProjectRule):
             for table in model.locks.values()
             for info in table.values()
         }
-        # Transitive acquire sets per function (what running it may lock).
-        acquires: Dict[str, Set[LockId]] = {}
-        for acq in model.acquisitions:
-            acquires.setdefault(acq.func, set()).add(acq.lock)
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            for qualname in sorted(model.call_sites):
-                for site in model.call_sites[qualname]:
-                    if site.resolved is None:
-                        continue
-                    callee = project.functions.get(site.resolved)
-                    if callee is None or callee.is_async:
-                        continue
-                    extra = acquires.get(site.resolved, set())
-                    current = acquires.setdefault(qualname, set())
-                    if not extra <= current:
-                        current |= extra
-                        changed = True
-            if not changed:
-                break
+        acquires = _transitive_acquires(project, model)
         edges: Dict[Tuple[LockId, LockId], _Edge] = {}
         findings: List[Finding] = []
         # Direct nested acquisitions.
@@ -723,7 +699,7 @@ class LockOrderInversionRule(ProjectRule):
                 callee = project.functions.get(site.resolved)
                 if callee is None or callee.is_async:
                     continue
-                for lock in sorted(acquires.get(site.resolved, set())):
+                for lock in sorted(acquires.get(site.resolved, frozenset())):
                     for held in site.held:
                         if held == lock:
                             if not reentrant.get(lock, True) and project.is_selected(caller.path):
@@ -802,7 +778,7 @@ def _classify_blocking(
 ) -> Optional[str]:
     """Human label when the call blocks the calling thread, else None."""
     if module is not None:
-        dotted = _dotted_call(module, node.func)
+        dotted = dotted_name(module, node.func)
         if dotted is not None:
             if dotted in _BLOCKING_DOTTED or dotted.startswith("subprocess."):
                 return f"{dotted}()"
@@ -827,8 +803,10 @@ def _classify_blocking(
 def _blocking_summaries(
     project: Project, model: ConcurrencyModel
 ) -> Dict[str, BlockedInfo]:
-    """For every sync function: the first blocking operation it can hit,
-    directly or through sync callees, with the chain down to it."""
+    """For every sync function: the blocking operation it can hit, with
+    the chain down to it.  A direct operation wins (the earliest line);
+    otherwise the shortest chain through sync callees, ties going to the
+    earliest call site, so the chain does not depend on visit order."""
     blocked: Dict[str, BlockedInfo] = {}
     acquisitions_by_func: Dict[str, List[Acquisition]] = {}
     for acq in model.acquisitions:
@@ -851,28 +829,29 @@ def _blocking_summaries(
             blocked[qualname] = BlockedInfo(
                 op=op, path=info.path, line=line, chain=()
             )
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for qualname in sorted(project.functions):
-            info = project.functions[qualname]
-            if info.is_async or qualname in blocked:
+
+    def transfer(
+        qualname: str, read: Callable[[str], Optional[BlockedInfo]]
+    ) -> Optional[BlockedInfo]:
+        best: Optional[BlockedInfo] = None
+        for site in model.call_sites.get(qualname, []):
+            if site.resolved is None:
                 continue
-            for site in model.call_sites.get(qualname, []):
-                if site.resolved is None or site.resolved not in blocked:
-                    continue
-                callee = project.functions.get(site.resolved)
-                if callee is None or callee.is_async:
-                    continue
-                inner = blocked[site.resolved]
-                blocked[qualname] = BlockedInfo(
+            callee = project.functions[site.resolved]
+            inner = None if callee.is_async else read(site.resolved)
+            if inner is not None and (best is None or len(inner.chain) + 1 < len(best.chain)):
+                best = BlockedInfo(
                     op=inner.op, path=inner.path, line=inner.line,
                     chain=(callee.display,) + inner.chain,
                 )
-                changed = True
-                break
-        if not changed:
-            break
-    return blocked
+        return best
+
+    solved = solve(
+        [qualname for qualname, info in project.functions.items()
+         if not info.is_async and qualname not in blocked],
+        blocked, transfer,
+    )
+    return {qualname: info for qualname, info in solved.items() if info is not None}
 
 
 @register
@@ -937,7 +916,7 @@ class BlockingInAsyncRule(ProjectRule):
                         ))
             if isinstance(node, ast.Call):
                 dotted = (
-                    _dotted_call(module, node.func)
+                    dotted_name(module, node.func)
                     if module is not None else None
                 )
                 if dotted is not None and dotted.startswith("asyncio."):
@@ -995,7 +974,7 @@ class BlockingInAsyncRule(ProjectRule):
                 continue
             chain = model.reachable[qualname]
             for site in model.call_sites.get(qualname, []):
-                dotted = _dotted_call(module, site.node.func)
+                dotted = dotted_name(module, site.node.func)
                 if (
                     dotted is None
                     or not dotted.startswith("asyncio.")

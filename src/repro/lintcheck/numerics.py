@@ -29,6 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
+from repro.lintcheck.callgraph import call_simple_name
 from repro.lintcheck.core import Finding, LintRule, ModuleSource, register
 
 F32 = "f32"
@@ -81,14 +82,6 @@ def _dtype_from_expr(node: ast.expr) -> Dtype:
         return _DTYPE_NAMES.get(node.attr)
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return _DTYPE_NAMES.get(node.value)
-    return None
-
-
-def _call_simple_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
     return None
 
 
@@ -226,7 +219,7 @@ class _DtypeTracker:
                 explicit = _dtype_from_expr(keyword.value)
             elif keyword.arg is None and value_dtype is not None:
                 arg_dtypes.append(value_dtype)
-        name = _call_simple_name(call)
+        name = call_simple_name(call)
         if name == "astype" or name == "view":
             target = None
             if call.args:
@@ -302,7 +295,7 @@ _AXIS_CTORS = frozenset({"fftfreq", "rfftfreq", "arange", "zeros", "ones",
 
 def _axis_token(call: ast.Call) -> Optional[str]:
     """Symbolic length of a 1-D constructor call (``fftfreq(nx)`` → nx)."""
-    name = _call_simple_name(call)
+    name = call_simple_name(call)
     if name in _AXIS_CTORS and call.args:
         size = call.args[0]
     elif name == "linspace" and len(call.args) >= 3:
@@ -441,7 +434,7 @@ class _NdarrayNames(ast.NodeVisitor):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return
         if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
-            if _call_simple_name(stmt.value) in _ARRAY_CTORS:
+            if call_simple_name(stmt.value) in _ARRAY_CTORS:
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         self.names.add(target.id)
@@ -455,7 +448,7 @@ def _loop_over_ndarray(iter_expr: ast.expr, names: Set[str]) -> Optional[str]:
     if isinstance(iter_expr, ast.Name) and iter_expr.id in names:
         return iter_expr.id
     if isinstance(iter_expr, ast.Call):
-        name = _call_simple_name(iter_expr)
+        name = call_simple_name(iter_expr)
         if name in ("range", "enumerate", "zip", "reversed", "map"):
             for node in ast.walk(iter_expr):
                 if isinstance(node, ast.Name) and node.id in names:

@@ -3,10 +3,12 @@
 The syntactic ``hash-entropy`` rule only sees a source and a sink in the
 same function.  This module follows a value: every project function gets
 a *taint summary* — which entropy sources (and which of its own
-parameters) can reach its return value — computed to a fixpoint over the
-call graph, so ``time.time()`` laundered through two helpers is still
-attached to the ``stable_hash`` argument it finally lands in.  Findings
-carry the full source→sink path::
+parameters) can reach its return value — solved over the call graph by
+the shared :func:`~repro.lintcheck.callgraph.solve`, so ``time.time()``
+laundered through two helpers is still attached to the ``stable_hash``
+argument it finally lands in.  Summaries only grow, and a label's chain
+never repeats a function (recursion adds no hop), so the solve
+terminates on its own.  Findings carry the full source→sink path::
 
     entropy-taint time.time() (corpus/taint_chain.py:6) -> _now -> _label
     -> stable_hash() argument
@@ -28,12 +30,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lintcheck.callgraph import (
+    BodyWalker,
     FunctionInfo,
     ModuleInfo,
     Project,
+    dotted_name,
+    solve,
 )
 from repro.lintcheck.core import Finding, ProjectRule, register
 
@@ -60,10 +65,6 @@ _SCRUB_ALL = frozenset({"len", "isinstance", "issubclass", "type", "callable"})
 _SCRUB_ORDER = frozenset({"sorted", "min", "max", "sum", "any", "all",
                           "set", "frozenset"})
 
-#: hard cap on summary fixpoint rounds (call-graph cycles converge fast;
-#: this is a backstop, not a tuning knob)
-_MAX_ROUNDS = 10
-
 
 @dataclass(frozen=True, order=True)
 class TaintLabel:
@@ -74,6 +75,8 @@ class TaintLabel:
     chain: Tuple[str, ...]  # functions the value passed through
 
     def through(self, func_display: str) -> "TaintLabel":
+        if func_display in self.chain:
+            return self  # recursion adds no hop: chains stay cycle-free
         return TaintLabel(self.kind, self.source, self.chain + (func_display,))
 
     def describe(self, sink: str) -> str:
@@ -91,26 +94,10 @@ class ParamTaint:
 Label = Union[TaintLabel, ParamTaint]
 Labels = FrozenSet[Label]
 _EMPTY: Labels = frozenset()
-
-
-def _dotted(module: ModuleInfo, expr: ast.expr) -> Optional[str]:
-    """Fully-qualified dotted name of ``expr`` via the module's imports.
-
-    ``np.random.default_rng`` -> ``numpy.random.default_rng`` when the
-    module did ``import numpy as np``; a bare imported name resolves to
-    its target (``from time import time`` makes ``time`` ->
-    ``time.time``)."""
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = module.imports.get(node.id)
-    if root is None:
-        return node.id if not parts else None
-    return ".".join([root] + list(reversed(parts)))
+#: a callee's return-taint summary, None while unknown
+Reader = Callable[[str], Optional[Labels]]
+#: (call node, sink description, labels reaching it)
+SinkHit = Tuple[ast.AST, str, Labels]
 
 
 def _is_source(dotted: str, call: ast.Call) -> bool:
@@ -132,100 +119,55 @@ def _root_name(expr: ast.expr) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-class _Sink:
-    """Callback target for sink hits during an evaluation pass."""
-
-    def hit(self, node: ast.AST, sink_desc: str, labels: Labels) -> None:
-        raise NotImplementedError
-
-
-class _Evaluator:
+class _Evaluator(BodyWalker[Labels]):
     """Single forward pass over one function body.
 
     Tracks per-variable label sets and which variables hold sets (so
-    iterating one adds order-taint).  Branches are merged by executing
-    both arms against the same environment — an over-approximation that
-    errs toward reporting."""
+    iterating one adds order-taint).  With ``hits`` given, every tainted
+    sink call is appended to it."""
 
     def __init__(
         self,
         project: Project,
         module: ModuleInfo,
         func: Optional[FunctionInfo],
-        summaries: Dict[str, Labels],
-        sink: Optional[_Sink] = None,
+        read: Reader,
+        hits: Optional[List[SinkHit]] = None,
     ) -> None:
         self.project = project
         self.module = module
         self.func = func
-        self.summaries = summaries
-        self.sink = sink
+        self.read = read
+        self.hits = hits
         self.env: Dict[str, Labels] = {}
         self.setvars: Set[str] = set()
         self.returns: Labels = _EMPTY
 
-    # -- statements ---------------------------------------------------------
+    # -- statement hooks ----------------------------------------------------
 
-    def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
+    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
+        if stmt.value is not None:
+            self._bind(stmt.target, self.eval(stmt.value), stmt.value)
 
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            labels = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._bind(target, labels, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._bind(stmt.target, self.eval(stmt.value), stmt.value)
-        elif isinstance(stmt, ast.AugAssign):
-            labels = self.eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = self.env.get(stmt.target.id, _EMPTY) | labels
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self.returns = self.returns | self.eval(stmt.value)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            labels = self.eval(stmt.iter)
-            if self._is_setlike(stmt.iter):
-                labels = labels | frozenset({self._order_label(stmt.iter)})
-            self._bind(stmt.target, labels, None)
-            self.exec_block(stmt.body)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.exec_block(stmt.body)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            self.exec_block(stmt.body)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                labels = self.eval(item.context_expr)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, labels, None)
-            self.exec_block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body)
-            for handler in stmt.handlers:
-                self.exec_block(handler.body)
-            self.exec_block(stmt.orelse)
-            self.exec_block(stmt.finalbody)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.eval(child)
-        # nested defs/classes get their own summaries; imports/pass/etc.
-        # carry no dataflow
+    def _aug_assign(self, stmt: ast.AugAssign) -> None:
+        labels = self.eval(stmt.value)
+        if isinstance(stmt.target, ast.Name):
+            self.env[stmt.target.id] = self.env.get(stmt.target.id, _EMPTY) | labels
+
+    def _return(self, value: Labels) -> None:
+        self.returns = self.returns | value
+
+    def _iterate(self, iterable: ast.expr) -> Labels:
+        labels = self.eval(iterable)
+        if self._is_setlike(iterable):
+            labels = labels | frozenset({self._order_label(iterable)})
+        return labels
 
     def _bind(self, target: ast.expr, labels: Labels,
-              value: Optional[ast.expr]) -> None:
+              source: Optional[ast.expr]) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = labels
-            if value is not None and self._is_setlike(value):
+            if source is not None and self._is_setlike(source):
                 self.setvars.add(target.id)
             else:
                 self.setvars.discard(target.id)
@@ -305,14 +247,8 @@ class _Evaluator:
     def _eval_comprehension(
         self, generators: Sequence[ast.comprehension], elts: Sequence[ast.expr]
     ) -> Labels:
+        self._enter_generators(generators)
         out: Labels = _EMPTY
-        for gen in generators:
-            labels = self.eval(gen.iter)
-            if self._is_setlike(gen.iter):
-                labels = labels | frozenset({self._order_label(gen.iter)})
-            self._bind(gen.target, labels, None)
-            for condition in gen.ifs:
-                self.eval(condition)
         for elt in elts:
             out = out | self.eval(elt)
         return out
@@ -350,8 +286,8 @@ class _Evaluator:
         for labels in kw_labels.values():
             everything = everything | labels
 
-        dotted = _dotted(self.module, call.func)
-        self._check_sinks(call, dotted, arg_labels, kw_labels, anon_kw)
+        dotted = dotted_name(self.module, call.func)
+        self._check_sinks(call, dotted, everything)
 
         if dotted is not None and _is_source(dotted, call):
             return frozenset({TaintLabel(
@@ -398,7 +334,7 @@ class _Evaluator:
         kw_labels: Dict[str, Labels],
         fallback: Labels,
     ) -> Labels:
-        summary = self.summaries.get(callee.qualname)
+        summary = self.read(callee.qualname)
         if summary is None:
             return fallback
         params = callee.params
@@ -420,29 +356,17 @@ class _Evaluator:
         return out
 
     def _check_sinks(
-        self,
-        call: ast.Call,
-        dotted: Optional[str],
-        arg_labels: List[Labels],
-        kw_labels: Dict[str, Labels],
-        anon_kw: Labels,
+        self, call: ast.Call, dotted: Optional[str], tainted: Labels
     ) -> None:
-        if self.sink is None:
-            return
-        tainted: Labels = anon_kw
-        for labels in arg_labels:
-            tainted = tainted | labels
-        for labels in kw_labels.values():
-            tainted = tainted | labels
-        if not tainted:
+        if self.hits is None or not tainted:
             return
         if dotted is not None and dotted.rsplit(".", 1)[-1] == "stable_hash":
-            self.sink.hit(call, "stable_hash() argument", tainted)
+            self.hits.append((call, "stable_hash() argument", tainted))
         elif (
             isinstance(call.func, ast.Attribute)
             and call.func.attr.startswith("record_")
         ):
-            self.sink.hit(call, f"journal {call.func.attr}()", tainted)
+            self.hits.append((call, f"journal {call.func.attr}()", tainted))
 
 
 # ---------------------------------------------------------------------------
@@ -451,42 +375,27 @@ class _Evaluator:
 
 
 def compute_summaries(project: Project) -> Dict[str, Labels]:
-    """Return-taint summary per function qualname, to a fixpoint."""
+    """Return-taint summary per function qualname, solved to a fixpoint."""
     cached = project.analysis_cache.get("taint-summaries")
     if isinstance(cached, dict):
         return cached
-    summaries: Dict[str, Labels] = {name: _EMPTY for name in project.functions}
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for qualname in sorted(project.functions):
-            func = project.functions[qualname]
-            module = project.modules.get(func.module)
-            if module is None:
-                continue
-            evaluator = _Evaluator(project, module, func, summaries)
-            for index, param in enumerate(func.params):
-                evaluator.env[param] = frozenset({ParamTaint(index)})
-            evaluator.exec_block(func.node.body)
-            summary: Labels = frozenset(
-                label.through(func.display)
-                if isinstance(label, TaintLabel) else label
-                for label in evaluator.returns
-            )
-            if summary != summaries[qualname]:
-                summaries[qualname] = summary
-                changed = True
-        if not changed:
-            break
+
+    def transfer(qualname: str, read: Reader) -> Labels:
+        func = project.functions[qualname]
+        evaluator = _Evaluator(project, project.modules[func.module], func, read)
+        for index, param in enumerate(func.params):
+            evaluator.env[param] = frozenset({ParamTaint(index)})
+        evaluator.exec_block(func.node.body)
+        return frozenset(
+            label.through(func.display)
+            if isinstance(label, TaintLabel) else label
+            for label in evaluator.returns
+        )
+
+    summaries = solve(project.functions,
+                      {name: _EMPTY for name in project.functions}, transfer)
     project.analysis_cache["taint-summaries"] = summaries
     return summaries
-
-
-class _CollectingSink(_Sink):
-    def __init__(self) -> None:
-        self.hits: List[Tuple[ast.AST, str, Labels]] = []
-
-    def hit(self, node: ast.AST, sink_desc: str, labels: Labels) -> None:
-        self.hits.append((node, sink_desc, labels))
 
 
 def _stage_run_qualnames(project: Project) -> Set[str]:
@@ -530,11 +439,11 @@ class EntropyTaintRule(ProjectRule):
         summaries: Dict[str, Labels],
         is_stage_run: bool,
     ) -> Iterator[Finding]:
-        sink = _CollectingSink()
-        evaluator = _Evaluator(project, module, func, summaries, sink=sink)
+        hits: List[SinkHit] = []
+        evaluator = _Evaluator(project, module, func, summaries.get, hits)
         evaluator.exec_block(func.node.body)
         emitted: Set[Tuple[int, str, str]] = set()
-        for node, sink_desc, labels in sink.hits:
+        for node, sink_desc, labels in hits:
             yield from self._emit(module, node, sink_desc, labels, emitted)
         if is_stage_run:
             yield from self._check_run_returns(module, func, evaluator, emitted)

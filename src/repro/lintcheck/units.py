@@ -14,9 +14,12 @@ seeded from three places (see :mod:`repro.units`):
   (``x: Nanometers``, ``pixel: NmPerPixel``);
 * naming conventions (``defocus_nm``, ``*_px``, ``period_ps``, the exact
   name ``pixel``);
-* an interprocedural fixpoint of per-function *return-unit summaries*
-  over :class:`~repro.lintcheck.callgraph.Project`, so a helper that
-  returns ``value_nm / pixel`` is known to yield px at every call site.
+* per-function *return-unit summaries*, solved over
+  :class:`~repro.lintcheck.callgraph.Project` by the shared
+  :func:`~repro.lintcheck.callgraph.solve`, so a helper that returns
+  ``value_nm / pixel`` is known to yield px at every call site.  The
+  unit transfer is not monotone (returns that disagree fall to
+  unknown); the solver's evaluation budget bounds it.
 
 The algebra is deliberately small: addition/subtraction/comparison
 require matching units, multiplication and division transport across the
@@ -39,13 +42,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lintcheck.callgraph import (
+    BodyWalker,
+    ClassInfo,
     FunctionInfo,
     ModuleInfo,
     Project,
     annotation_simple_name,
+    call_simple_name,
+    solve,
 )
 from repro.lintcheck.core import Finding, ProjectRule, register
 from repro.units import ALIAS_UNITS, NAME_UNITS, SUFFIX_UNITS
@@ -100,8 +107,6 @@ _UNIT_COMBINING = frozenset({
 })
 #: calls that are dimensionless whatever their input
 _UNIT_SCRUBBING = frozenset({"len", "sign", "isfinite", "isnan", "bool"})
-
-_MAX_ROUNDS = 8
 
 
 def _name_unit(identifier: str) -> Unit:
@@ -198,22 +203,24 @@ class UnitEvent:
         )
 
 
-class _UnitEvaluator:
-    """Single forward pass over one function body, tracking var units."""
+class _UnitEvaluator(BodyWalker[Unit]):
+    """Single forward pass over one function body, tracking var units.
+
+    ``read`` looks up a callee's return-unit summary."""
 
     def __init__(
         self,
         project: Project,
         module: ModuleInfo,
         func: Optional[FunctionInfo],
-        summaries: Dict[str, Unit],
+        read: Callable[[str], Unit],
         attr_units: Dict[str, Dict[str, Unit]],
         events: Optional[List[UnitEvent]] = None,
     ) -> None:
         self.project = project
         self.module = module
         self.func = func
-        self.summaries = summaries
+        self.read = read
         self.attr_units = attr_units
         self.events = events
         self.env: Dict[str, Unit] = {}
@@ -221,92 +228,49 @@ class _UnitEvaluator:
         self.return_unit: Unit = None
         self._return_seen = False
 
-    # -- statements ---------------------------------------------------------
+    # -- statement hooks ----------------------------------------------------
 
-    def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
+    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
+        unit = self.eval(stmt.value) if stmt.value is not None else None
+        declared = _annotation_unit(stmt.annotation)
+        self._bind(stmt.target, declared if declared is not None else unit,
+                   stmt.value)
 
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            unit = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._bind(target, unit, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            unit = _annotation_unit(stmt.annotation)
-            if unit is None and stmt.value is not None:
-                unit = self.eval(stmt.value)
-            elif stmt.value is not None:
-                self.eval(stmt.value)
-            self._bind(stmt.target, unit, stmt.value)
-        elif isinstance(stmt, ast.AugAssign):
-            value_unit = self.eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                current = self.env.get(stmt.target.id)
-                if isinstance(stmt.op, (ast.Add, ast.Sub)):
-                    unit, mismatch = combine_add(current, value_unit)
-                    if mismatch:
-                        self._record(stmt, current, value_unit,
-                                     "addition" if isinstance(stmt.op, ast.Add)
-                                     else "subtraction")
-                    self.env[stmt.target.id] = unit
-                elif isinstance(stmt.op, ast.Mult):
-                    self.env[stmt.target.id] = combine_mul(current, value_unit)
-                elif isinstance(stmt.op, ast.Div):
-                    self.env[stmt.target.id] = combine_div(current, value_unit)
-                else:
-                    self.env[stmt.target.id] = None
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                unit = self.eval(stmt.value)
-                if not self._return_seen:
-                    self.return_unit = unit
-                    self._return_seen = True
-                elif unit != self.return_unit:
-                    self.return_unit = None
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            unit = self.eval(stmt.iter)
-            # iterating a sequence of X yields X per element
-            self._bind(stmt.target, unit, None)
-            self.exec_block(stmt.body)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.exec_block(stmt.body)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            self.exec_block(stmt.body)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                unit = self.eval(item.context_expr)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, unit, None)
-            self.exec_block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body)
-            for handler in stmt.handlers:
-                self.exec_block(handler.body)
-            self.exec_block(stmt.orelse)
-            self.exec_block(stmt.finalbody)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.eval(child)
+    def _aug_assign(self, stmt: ast.AugAssign) -> None:
+        value_unit = self.eval(stmt.value)
+        if not isinstance(stmt.target, ast.Name):
+            return
+        current = self.env.get(stmt.target.id)
+        unit: Unit = None
+        if isinstance(stmt.op, (ast.Add, ast.Sub)):
+            unit, mismatch = combine_add(current, value_unit)
+            if mismatch:
+                self._record(stmt, current, value_unit,
+                             "addition" if isinstance(stmt.op, ast.Add)
+                             else "subtraction")
+        elif isinstance(stmt.op, ast.Mult):
+            unit = combine_mul(current, value_unit)
+        elif isinstance(stmt.op, ast.Div):
+            unit = combine_div(current, value_unit)
+        self.env[stmt.target.id] = unit
+
+    def _return(self, value: Unit) -> None:
+        if not self._return_seen:
+            self.return_unit = value
+            self._return_seen = True
+        elif value != self.return_unit:
+            self.return_unit = None
 
     def _bind(self, target: ast.expr, unit: Unit,
-              value: Optional[ast.expr]) -> None:
+              source: Optional[ast.expr]) -> None:
         if isinstance(target, ast.Name):
             # a naming convention on the target pins the unit when the
             # value's unit is unknown (`width_px = compute()`), and a
             # known value unit wins otherwise
             declared = _name_unit(target.id)
             self.env[target.id] = unit if unit is not None else declared
-            if isinstance(value, ast.Call):
-                cls_name = self._constructed_class(value)
+            if isinstance(source, ast.Call):
+                cls_name = self._constructed_class(source)
                 if cls_name is not None:
                     self.local_classes[target.id] = cls_name
                 else:
@@ -318,11 +282,8 @@ class _UnitEvaluator:
             self._bind(target.value, unit, None)
 
     def _constructed_class(self, call: ast.Call) -> Optional[str]:
-        if isinstance(call.func, ast.Name):
-            name = call.func.id
-        elif isinstance(call.func, ast.Attribute):
-            name = call.func.attr
-        else:
+        name = call_simple_name(call)
+        if name is None:
             return None
         prefer = self.func.module if self.func is not None else self.module.name
         if self.project.resolve_class(name, prefer_module=prefer) is not None:
@@ -402,11 +363,7 @@ class _UnitEvaluator:
     def _eval_comprehension(
         self, generators: Sequence[ast.comprehension], elt: ast.expr
     ) -> Unit:
-        for gen in generators:
-            unit = self.eval(gen.iter)
-            self._bind(gen.target, unit, None)
-            for condition in gen.ifs:
-                self.eval(condition)
+        self._enter_generators(generators)
         return self.eval(elt)
 
     def _eval_attribute(self, expr: ast.Attribute) -> Unit:
@@ -421,10 +378,10 @@ class _UnitEvaluator:
                 return table[expr.attr]
             getter = self.project.resolve_method(cls, expr.attr)
             if getter is not None and getter.is_property:
-                return self.summaries.get(getter.qualname)
+                return self.read(getter.qualname)
         return None
 
-    def _receiver_class_info(self, receiver: ast.expr):
+    def _receiver_class_info(self, receiver: ast.expr) -> Optional[ClassInfo]:
         if not isinstance(receiver, ast.Name) or self.func is None:
             return None
         return self.project._receiver_class(
@@ -451,21 +408,18 @@ class _UnitEvaluator:
     def _eval_compare(self, expr: ast.Compare) -> None:
         units = [self.eval(expr.left)]
         units.extend(self.eval(comparator) for comparator in expr.comparators)
-        known = [u for u in units if u in _DIMENSIONAL]
+        # membership/identity chains with one dimensional side are fine
         for index in range(len(units) - 1):
             a, b = units[index], units[index + 1]
             if a in _DIMENSIONAL and b in _DIMENSIONAL and a != b:
                 self._record(expr, a, b, "comparison")
-        # membership/identity chains with one dimensional side are fine
-        del known
 
     def _eval_call(self, call: ast.Call) -> Unit:
         arg_units = [self.eval(arg) for arg in call.args]
-        kw_units: Dict[str, Unit] = {}
         for keyword in call.keywords:
-            kw_units[keyword.arg or "**"] = self.eval(keyword.value)
+            self.eval(keyword.value)
 
-        name = self._call_simple_name(call)
+        name = call_simple_name(call)
         if name in _UNIT_SCRUBBING:
             return DIMLESS
         if name in _UNIT_PRESERVING:
@@ -482,23 +436,11 @@ class _UnitEvaluator:
                 self.func, call.func, self.local_classes
             )
         if callee is not None:
-            unit = self.summaries.get(callee.qualname)
-            if unit is not None:
-                return unit
-            declared = _annotation_unit(callee.node.returns)
-            if declared is not None:
-                return declared
-            return _name_unit(callee.name)
+            # the summary already holds a declared return unit
+            unit = self.read(callee.qualname)
+            return unit if unit is not None else _name_unit(callee.name)
         if name is not None:
             return _name_unit(name)
-        return None
-
-    @staticmethod
-    def _call_simple_name(call: ast.Call) -> Optional[str]:
-        if isinstance(call.func, ast.Name):
-            return call.func.id
-        if isinstance(call.func, ast.Attribute):
-            return call.func.attr
         return None
 
     def _record(self, node: ast.AST, left: Unit, right: Unit,
@@ -542,40 +484,44 @@ def class_attr_units(project: Project) -> Dict[str, Dict[str, Unit]]:
     return tables
 
 
+def _run_evaluator(
+    project: Project,
+    func: FunctionInfo,
+    read: Callable[[str], Unit],
+    events: Optional[List[UnitEvent]] = None,
+) -> _UnitEvaluator:
+    """Evaluate one function body with its parameters' declared units."""
+    evaluator = _UnitEvaluator(project, project.modules[func.module], func,
+                               read, class_attr_units(project), events)
+    for param in func.params:
+        evaluator.env[param] = declared_param_unit(func, param)
+    evaluator.exec_block(func.node.body)
+    return evaluator
+
+
 def compute_unit_summaries(project: Project) -> Dict[str, Unit]:
-    """Return-unit summary per function qualname, to a fixpoint."""
+    """Return-unit summary per function qualname, solved to a fixpoint.
+
+    A return annotation is authoritative; every other function's summary
+    is the unit its returns agree on (else its name's convention).
+    """
     cached = project.analysis_cache.get("unit-summaries")
     if isinstance(cached, dict):
         return cached
-    attr_units = class_attr_units(project)
-    summaries: Dict[str, Unit] = {}
-    for qualname in sorted(project.functions):
+    declared: Dict[str, Unit] = {
+        qualname: _annotation_unit(func.node.returns)
+        for qualname, func in project.functions.items()
+    }
+
+    def transfer(qualname: str, read: Callable[[str], Unit]) -> Unit:
         func = project.functions[qualname]
-        declared = _annotation_unit(func.node.returns)
-        summaries[qualname] = declared
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for qualname in sorted(project.functions):
-            func = project.functions[qualname]
-            declared = _annotation_unit(func.node.returns)
-            if declared is not None:
-                continue  # annotation is authoritative
-            module = project.modules.get(func.module)
-            if module is None:
-                continue
-            evaluator = _UnitEvaluator(project, module, func, summaries,
-                                       attr_units)
-            for param in func.params:
-                evaluator.env[param] = declared_param_unit(func, param)
-            evaluator.exec_block(func.node.body)
-            inferred = evaluator.return_unit
-            if inferred is None:
-                inferred = _name_unit(func.name)
-            if inferred != summaries[qualname]:
-                summaries[qualname] = inferred
-                changed = True
-        if not changed:
-            break
+        inferred = _run_evaluator(project, func, read).return_unit
+        return inferred if inferred is not None else _name_unit(func.name)
+
+    summaries = solve(
+        [qualname for qualname, unit in declared.items() if unit is None],
+        declared, transfer,
+    )
     project.analysis_cache["unit-summaries"] = summaries
     return summaries
 
@@ -586,18 +532,13 @@ def unit_events(project: Project) -> List[UnitEvent]:
     if isinstance(cached, list):
         return cached
     summaries = compute_unit_summaries(project)
-    attr_units = class_attr_units(project)
     events: List[UnitEvent] = []
     for module in project.iter_selected_modules():
         for qualname in sorted(project.functions):
             func = project.functions[qualname]
             if func.module != module.name or func.path != module.path:
                 continue
-            evaluator = _UnitEvaluator(project, module, func, summaries,
-                                       attr_units, events=events)
-            for param in func.params:
-                evaluator.env[param] = declared_param_unit(func, param)
-            evaluator.exec_block(func.node.body)
+            _run_evaluator(project, func, summaries.get, events)
     deduped: Dict[Tuple[str, int, int, frozenset, str], UnitEvent] = {}
     for event in events:
         key = (event.path, event.line, event.col, event.pair, event.context)

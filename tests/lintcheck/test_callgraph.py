@@ -1,19 +1,24 @@
 """The call-graph substrate: module naming, import resolution, class
-tables, and static call/property resolution over the real flow package."""
+tables, static call/property resolution over the real flow package, and
+the summary solver every whole-program rule runs on."""
 
 import ast
 import os
 
 import pytest
 
+from repro.lintcheck import collect_files, concurrency, taint, units
 from repro.lintcheck.callgraph import (
     Project,
     annotation_simple_name,
     module_name_for,
+    solve,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 STAGES_PY = os.path.join(REPO_ROOT, "src", "repro", "flow", "stages.py")
+CORPUS = os.path.join(REPO_ROOT, "tests", "lintcheck", "corpus")
+SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +97,94 @@ class TestProject:
         run = project.functions["repro.flow.stages.DrawnStaStage.run"]
         constants = project.referenced_module_constants(run)
         assert any(name == "CANONICAL_PERIOD_PS" for _, name, _ in constants)
+
+
+def round_robin(keys, initial, transfer):
+    """The reference fixpoint: sweep every key in sorted order until a
+    whole sweep changes nothing."""
+    values = dict(initial)
+    for _ in range(100):
+        changed = False
+        for key in sorted(keys):
+            value = transfer(key, values.get)
+            if value != values.get(key):
+                values[key] = value
+                changed = True
+        if not changed:
+            return values
+    raise AssertionError("round-robin sweep did not converge")
+
+
+class TestSolve:
+    def test_chain_resolves_in_one_pass_per_change(self):
+        # c reads b reads a: sorted order evaluates a first, so b and c
+        # each see a settled input and nothing is re-run.
+        deps = {"a": None, "b": "a", "c": "b"}
+        evaluated = []
+
+        def transfer(key, read):
+            evaluated.append(key)
+            dep = deps[key]
+            return 1 if dep is None else (read(dep) or 0) + 1
+
+        assert solve(deps, {}, transfer) == {"a": 1, "b": 2, "c": 3}
+        assert evaluated == ["a", "b", "c"]
+
+    def test_only_readers_of_a_changed_value_rerun(self):
+        # a reads c (evaluated later), so a reruns once c settles; b never
+        # read anything that changed and runs once.
+        evaluated = []
+
+        def transfer(key, read):
+            evaluated.append(key)
+            return {"a": lambda: (read("c") or 0) + 1,
+                    "b": lambda: 5,
+                    "c": lambda: 7}[key]()
+
+        assert solve(["c", "b", "a"], {}, transfer) == {"a": 8, "b": 5, "c": 7}
+        assert evaluated == ["a", "b", "c", "a"]
+
+    def test_budget_stops_a_transfer_that_never_settles(self):
+        evaluated = []
+
+        def transfer(key, read):
+            evaluated.append(key)
+            return (read(key) or 0) + 1  # reads itself and always grows
+
+        assert solve(["x", "y"], {}, transfer)["x"] >= 1
+        assert len(evaluated) == 20  # ten evaluations per key, in total
+
+
+@pytest.mark.parametrize("paths", [
+    [CORPUS],
+    [os.path.join(SRC_REPRO, "flow"), os.path.join(SRC_REPRO, "lintcheck")],
+], ids=["corpus", "flow+lintcheck"])
+def test_summary_tables_match_round_robin(monkeypatch, paths):
+    """All five summaries (return units, return taint, always-held locks,
+    transitive acquires, blocking chains) equal a plain round-robin sweep
+    to convergence, and the solver never reaches its evaluation budget."""
+    solved_tables = []
+
+    def checked_solve(keys, initial, transfer):
+        keys = list(keys)
+        evaluations = []
+
+        def counted(key, read):
+            evaluations.append(key)
+            return transfer(key, read)
+
+        solved = solve(keys, initial, counted)
+        assert solved == round_robin(keys, initial, transfer)
+        assert len(evaluations) < 10 * len(keys) or not keys
+        solved_tables.append(solved)
+        return solved
+
+    for module in (units, taint, concurrency):
+        monkeypatch.setattr(module, "solve", checked_solve)
+    project = Project.from_files(collect_files(paths))
+    units.compute_unit_summaries(project)
+    taint.compute_summaries(project)
+    model = concurrency.build_model(project)  # solves the always-held locks
+    concurrency._transitive_acquires(project, model)
+    concurrency._blocking_summaries(project, model)
+    assert len(solved_tables) == 5

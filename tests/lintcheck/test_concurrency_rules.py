@@ -5,6 +5,7 @@ cycles (`lock-order-inversion`), and event-loop blocking
 
 import json
 import os
+import textwrap
 
 import pytest
 
@@ -102,6 +103,40 @@ class TestBlockingInAsync:
     def test_to_thread_routed_calls_stay_clean(self, findings):
         for line in (49, 50, 53):
             assert _at(findings, "async_blocking.py", line) == []
+
+    def test_shortest_chain_wins_over_first_call_site(self, tmp_path):
+        # f calls the three-hop a1 chain before the two-hop z1 chain; the
+        # reported chain must not depend on which callee a sweep saw first.
+        flow = tmp_path / "repro" / "flow"
+        flow.mkdir(parents=True)
+        (flow / "chains.py").write_text(textwrap.dedent("""
+            import time
+
+            def a3():
+                time.sleep(1)
+
+            def a2():
+                a3()
+
+            def a1():
+                a2()
+
+            def zz():
+                time.sleep(1)
+
+            def z1():
+                zz()
+
+            def f():
+                a1()
+                z1()
+
+            async def main():
+                f()
+        """))
+        [found] = check_paths([str(flow)],
+                              rules=rules_for(select=["blocking-in-async"]))
+        assert "via f -> z1 -> zz;" in found.message
 
 
 class TestShippedFlowAcceptance:

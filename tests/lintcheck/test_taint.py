@@ -3,7 +3,8 @@
 import os
 import textwrap
 
-from repro.lintcheck import check_paths, rules_for
+from repro.lintcheck import check_paths, rules_for, taint
+from repro.lintcheck.callgraph import Project
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 CORPUS = os.path.join(REPO_ROOT, "tests", "lintcheck", "corpus")
@@ -91,6 +92,54 @@ class TestLaunderedChains:
         )
         assert len(findings) == 1
         assert "_now -> _label" in findings[0].message
+
+    def test_recursive_summaries_converge_with_cycle_free_chains(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "rec.py"
+        target.write_text(textwrap.dedent("""
+            import time
+
+            def walk(n, acc):
+                if n <= 0:
+                    return time.time()
+                return walk(n - 1, acc)
+
+            def ping(n):
+                if n <= 0:
+                    return time.time()
+                return pong(n - 1)
+
+            def pong(n):
+                return ping(n)
+        """))
+        evaluations = []
+        real_solve = taint.solve
+
+        def counting_solve(keys, initial, transfer):
+            def counted(key, read):
+                evaluations.append(key)
+                return transfer(key, read)
+            return real_solve(keys, initial, counted)
+
+        monkeypatch.setattr(taint, "solve", counting_solve)
+        summaries = taint.compute_summaries(Project.from_files([str(target)]))
+        for name in ("rec.walk", "rec.ping", "rec.pong"):
+            labels = [label for label in summaries[name]
+                      if isinstance(label, taint.TaintLabel)]
+            assert 1 <= len(labels) <= 2
+            for label in labels:
+                assert len(set(label.chain)) == len(label.chain) <= 2
+            assert evaluations.count(name) <= 4
+
+    def test_corpus_recursive_fixture_names_shortest_chain(self):
+        findings = check_paths(
+            [os.path.join(CORPUS, "taint_recursive.py")],
+            rules=rules_for(select=["entropy-taint"]),
+        )
+        assert [f.line for f in findings] == [32, 37]
+        assert "-> walk -> stable_hash() argument" in findings[0].message
+        assert "-> _ping -> stable_hash() argument" in findings[1].message
 
     def test_sanitized_helper_chain_is_clean(self, tmp_path):
         assert lint_file(tmp_path, """
