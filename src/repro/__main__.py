@@ -118,15 +118,9 @@ def cmd_flow(args) -> int:
                         max_quarantine_fraction=args.max_quarantine_fraction,
                         litho_shards=args.litho_shards)
     journal = _open_journal(args, flow, config, "flow")
-    scheduler = None
-    if getattr(args, "async_dag", False):
-        from repro.flow import StageScheduler
-
-        scheduler = StageScheduler(args.max_concurrent_stages)
     try:
         with InterruptGuard() as guard:
-            report = flow.run(config, journal=journal, interrupt=guard,
-                              scheduler=scheduler)
+            report = flow.run(config, journal=journal, interrupt=guard)
     except Exception as exc:
         if journal is not None:
             if not isinstance(exc, FlowInterrupted):
@@ -182,16 +176,8 @@ def cmd_sweep(args) -> int:
     journal = _open_journal(args, flow, base, "sweep")
     try:
         with InterruptGuard() as guard:
-            sweep = FlowSweep(flow)
-            if getattr(args, "async_dag", False):
-                from repro.flow import StageScheduler
-
-                result = sweep.run_concurrent(
-                    base, scheduler=StageScheduler(args.max_concurrent_stages),
-                    journal=journal, interrupt=guard,
-                )
-            else:
-                result = sweep.run(base, journal=journal, interrupt=guard)
+            result = FlowSweep(flow).run(base, journal=journal,
+                                         interrupt=guard)
     except Exception as exc:
         if journal is not None:
             if not isinstance(exc, FlowInterrupted):
@@ -259,7 +245,6 @@ def cmd_serve(args) -> int:
         service = FlowService(
             flows, max_queue=args.queue, workers=args.workers,
             run_root=args.run_root,
-            max_concurrent_stages=args.max_concurrent_stages,
             deadline_s=args.deadline,
             stage_timeout_s=args.stage_timeout,
             breaker_threshold=args.breaker_threshold,
@@ -403,17 +388,6 @@ def _add_scale_args(sub) -> None:
                           "execution of the same shard plan")
 
 
-def _add_scheduler_args(sub) -> None:
-    """Async DAG scheduler knobs shared by flow/sweep."""
-    sub.add_argument("--async", dest="async_dag", action="store_true",
-                     help="run the stage graph through the async DAG "
-                          "scheduler: every dependency-ready stage runs "
-                          "concurrently, bit-identical to the serial path")
-    sub.add_argument("--max-concurrent-stages", type=int, default=None,
-                     help="cap stages in flight per run "
-                          "(default: graph width)")
-
-
 def _add_durability_args(sub) -> None:
     """Persistent-cache, journal and fault-tolerance knobs shared by
     flow/sweep.  Exit codes: 0 ok, 2 interrupted (SIGINT/SIGTERM), 3
@@ -455,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--jobs", type=int, default=1,
                       help="parallel workers for the OPC/metrology tile loops")
     _add_scale_args(flow)
-    _add_scheduler_args(flow)
     _add_durability_args(flow)
     flow.add_argument("--trace", default=None,
                       help="write the per-stage trace (wall time, cache, counters) as JSON")
@@ -471,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--paths", type=int, default=5)
     sweep.add_argument("--jobs", type=int, default=1)
     _add_scale_args(sweep)
-    _add_scheduler_args(sweep)
     _add_durability_args(sweep)
     sweep.add_argument("--trace", default=None,
                        help="write per-mode traces + context stats as JSON")
@@ -498,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "DIR/<job-id>/")
     serve.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for each job's tile loops")
-    serve.add_argument("--max-concurrent-stages", type=int, default=None,
-                       help="cap concurrently-running stages per job")
     serve.add_argument("--cache-dir", default=None,
                        help="persist the shared artifact cache here")
     serve.add_argument("--cache-size-mb", type=float, default=None,

@@ -10,12 +10,10 @@ in :mod:`repro.flow.journal`, with the structured failure taxonomy in
 default graph; :class:`FlowSweep` runs many OPC modes against one shared
 context.
 
-Concurrency rides the same graph: :class:`StageScheduler`
-(:mod:`repro.flow.scheduler`) executes every dependency-ready stage at
-once with single-flight dedup through the shared context, and
-:class:`FlowService` (:mod:`repro.flow.service`) fronts it with a
+:class:`FlowService` (:mod:`repro.flow.service`) fronts the flows with a
 bounded-queue submit/status/result/report job API, in-process or over a
-local socket.
+local socket.  Each job runs the serial stage loop on its own thread;
+concurrent jobs share work through the context's single-flight settle.
 
 Hardening lives in :mod:`repro.flow.chaos` (deterministic seeded fault
 injection: :class:`FaultPlan` threaded through the cache, journal, stage,
@@ -42,7 +40,6 @@ from repro.flow.errors import (
 from repro.flow.journal import InterruptGuard, RunJournal
 from repro.flow.parallel import FaultInjection, ParallelExecutor, split_chunks
 from repro.flow.postopc import FlowConfig, FlowReport, PostOpcTimingFlow
-from repro.flow.scheduler import StageScheduler
 from repro.flow.service import CircuitBreaker, FlowService
 from repro.flow.stages import (
     FlowStage,
@@ -65,7 +62,6 @@ __all__ = [
     "StageRecord",
     "FlowStage",
     "StageGraph",
-    "StageScheduler",
     "FlowService",
     "CircuitBreaker",
     "FaultPlan",

@@ -17,11 +17,11 @@ corrupt or unreadable entries as misses — the damaged files are deleted
 and the stage recomputes, the flow never crashes on a bad cache.  An
 optional byte cap evicts the least-recently-used entries.
 
-The context is **safe under concurrent access**: the async stage
-scheduler (:mod:`repro.flow.scheduler`) and the flow service settle many
-stages against one shared context at once.  One mutex guards the memory
-tier and every counter, a second serializes disk mutation against disk
-reads (so an eviction can never tear an entry out from under a promote),
+The context is **safe under concurrent access**: the flow service runs
+many jobs on worker threads against one shared context at once.  One
+mutex guards the memory tier and every counter, a second serializes disk
+mutation against disk reads (so an eviction can never tear an entry out
+from under a promote),
 and :meth:`settle` gives each artifact key **single-flight** semantics:
 concurrent requests for the same key block on a per-key lock and all but
 the first are served the first's result — counted on :attr:`deduped`

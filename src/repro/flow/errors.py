@@ -78,7 +78,7 @@ class ServiceRejectedError(FlowError):
 
     Backpressure (a full bounded queue), an unknown design, or a
     malformed config all reject at submit time — the request never
-    consumes scheduler capacity.  ``reason`` is machine-readable
+    consumes a worker.  ``reason`` is machine-readable
     (``"queue-full"``, ``"unknown-design"``, ``"bad-config"``,
     ``"stopped"``, ``"unknown-job"``, ``"failed-job"``,
     ``"circuit-open"``, ``"deadline"``, ``"timeout"``).

@@ -7,7 +7,9 @@ stage (artifact key, wall time, cache tier, counters), per-mode lines for
 sweeps, and a terminal ``complete`` / ``interrupted`` / ``failed`` line.
 Every line is flushed and fsynced, so even a SIGKILLed process leaves a
 consistent prefix on disk; a torn final line (the process died mid-write)
-is tolerated on read.
+is tolerated on read.  :meth:`RunJournal.close` is final: a later append
+raises :class:`JournalClosedError`, so a run abandoned on a worker thread
+cannot write past the record that settled it.
 
 Resume (``--resume``) replays the journal: the manifest is checked
 against the current flow fingerprint and config hash (a mismatched resume
@@ -50,6 +52,10 @@ from repro.flow.errors import FlowInterrupted, InputValidationError
 JOURNAL_VERSION = 1
 
 
+class JournalClosedError(RuntimeError):
+    """An append reached a journal after :meth:`RunJournal.close`."""
+
+
 class RunJournal:
     """Append-only journal of one (possibly multi-session) run.
 
@@ -66,14 +72,16 @@ class RunJournal:
         self.run_dir = run_dir
         self.path = os.path.join(run_dir, self.FILENAME)
         self._fh: Optional[TextIO] = None
+        self._closed = False
         #: deterministic write-fault injection (chaos harness); None in
         #: production
         self.fault_plan = fault_plan
         #: callbacks invoked with each successfully appended record — the
         #: flow service hangs its hung-stage heartbeat off these
         self._listeners: List[Callable[[Dict[str, Any]], None]] = []
-        #: appends may come from scheduler worker threads concurrently;
-        #: the lock keeps each JSON line whole
+        #: appends may come from several threads (a service job's flow
+        #: thread and the event loop that settles the job); the lock keeps
+        #: each JSON line whole and orders them against close()
         self._write_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
@@ -135,10 +143,16 @@ class RunJournal:
         return os.path.join(self.run_dir, self.CACHE_SUBDIR)
 
     def close(self) -> None:
+        """Close for good: every later append raises
+        :class:`JournalClosedError` (idempotent)."""
         with self._write_lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        self._closed = True
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -151,7 +165,7 @@ class RunJournal:
     def add_listener(self, listener: Callable[[Dict[str, Any]], None]) -> None:
         """Register a callback fired (outside the write lock) after each
         successful append — the service's hung-stage watchdog listens here
-        for scheduler heartbeats.  Listener errors are swallowed: telemetry
+        for stage heartbeats.  Listener errors are swallowed: telemetry
         must never fail the run."""
         with self._write_lock:
             self._listeners.append(listener)
@@ -159,18 +173,34 @@ class RunJournal:
     def append(self, record_type: str, **payload: Any) -> Dict[str, Any]:
         """Append one record; flushed and fsynced so a kill -9 an instant
         later still finds it on disk."""
-        if (self.fault_plan is not None
-                and self.fault_plan.trigger("journal-write", record_type)
-                is not None):
-            raise OSError("chaos: injected journal write failure")
+        return self._append(record_type, payload, close=False)
+
+    def finish(self, record_type: str, **payload: Any) -> Dict[str, Any]:
+        """Append a terminal record and close, in one hold of the write
+        lock: no other thread's append can land after it.  A failed write
+        leaves the journal open, so the caller can still record why."""
+        return self._append(record_type, payload, close=True)
+
+    def _append(self, record_type: str, payload: Dict[str, Any],
+                close: bool) -> Dict[str, Any]:
         record = {"type": record_type, **payload}
         with self._write_lock:
+            if self._closed:
+                raise JournalClosedError(
+                    f"{self.path} is closed; refusing {record_type!r} record"
+                )
+            if (self.fault_plan is not None
+                    and self.fault_plan.trigger("journal-write", record_type)
+                    is not None):
+                raise OSError("chaos: injected journal write failure")
             if self._fh is None:
                 os.makedirs(self.run_dir, exist_ok=True)
                 self._fh = open(self.path, "a", encoding="utf-8")
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
+            if close:
+                self._close_locked()
             listeners = list(self._listeners)
         for listener in listeners:
             try:
@@ -197,19 +227,6 @@ class RunJournal:
     def record_mode(self, mode: str, status: str, detail: str = "") -> None:
         """Journal one sweep mode's outcome (``ok`` / ``failed``)."""
         self.append("mode", mode=mode, status=status, detail=detail)
-
-    def record_event(self, event: str, stage: str, key: str = "",
-                     **extra: Any) -> None:
-        """Journal one scheduler event (``ready``/``start``/``done``/
-        ``deduped``).
-
-        Pure bookkeeping for observability and post-mortems: the resume
-        path replays only ``stage`` records, and readers that predate the
-        scheduler skip the unknown type (the torn-line-tolerant contract
-        of :meth:`records`).  No timestamps on purpose — wall-clock facts
-        live in the ``stage`` records' telemetry.
-        """
-        self.append("scheduler", event=event, stage=stage, key=key, **extra)
 
     def record_interrupted(self, signal_name: str,
                            next_stage: Optional[str] = None) -> None:

@@ -22,7 +22,6 @@ every run carries a :class:`~repro.flow.trace.FlowTrace`.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass, field
 from typing import (
@@ -39,7 +38,6 @@ from typing import (
 
 if TYPE_CHECKING:
     from repro.flow.journal import InterruptGuard, RunJournal
-    from repro.flow.scheduler import StageScheduler
 
 from repro.analysis import RankComparison, compare_rankings
 from repro.cells import CellLibrary, build_library
@@ -266,9 +264,9 @@ class PostOpcTimingFlow:
         self._owned_polygons: Optional[List[Tuple[str, Polygon]]] = None
         self._engine: Optional[StaEngine] = None
         self._routed_engine: Optional[StaEngine] = None
-        #: guards the lazily-built shared state above — concurrent stages
-        #: (the async scheduler, or one flow shared by sweep modes) must
-        #: never double-build the layout or an STA engine.  The engines
+        #: guards the lazily-built shared state above — concurrent runs of
+        #: one flow (two service jobs) must never double-build the layout
+        #: or an STA engine.  The engines
         #: themselves are read-only after construction, so concurrent
         #: ``StaEngine.run`` calls need no lock.
         self._state_lock = threading.RLock()
@@ -526,7 +524,6 @@ class PostOpcTimingFlow:
         trace: Optional[FlowTrace] = None,
         journal: Optional["RunJournal"] = None,
         interrupt: Optional["InterruptGuard"] = None,
-        scheduler: Optional["StageScheduler"] = None,
     ) -> FlowReport:
         """Execute the stage graph and assemble the report.
 
@@ -538,16 +535,8 @@ class PostOpcTimingFlow:
         :class:`~repro.flow.errors.FlowInterrupted` propagates.  Raises
         :class:`~repro.flow.errors.QuarantineExceededError` when more
         than ``config.max_quarantine_fraction`` of the gates had to fall
-        back to drawn CDs.  ``scheduler`` (a
-        :class:`~repro.flow.scheduler.StageScheduler`) routes the run
-        through the async DAG path — bit-identical results, independent
-        stages overlapped — and needs no running event loop here.
+        back to drawn CDs.
         """
-        if scheduler is not None:
-            return asyncio.run(self.run_async(
-                config, scheduler, context=context, trace=trace,
-                journal=journal, interrupt=interrupt,
-            ))
         config = config or FlowConfig()
         context = context if context is not None else self.context
         trace = trace if trace is not None else FlowTrace()
@@ -565,44 +554,6 @@ class PostOpcTimingFlow:
 
         return self._assemble_report(config, artifacts, trace)
 
-    async def run_async(
-        self,
-        config: Optional[FlowConfig],
-        scheduler: "StageScheduler",
-        *,
-        context: Optional[FlowContext] = None,
-        trace: Optional[FlowTrace] = None,
-        journal: Optional["RunJournal"] = None,
-        interrupt: Optional["InterruptGuard"] = None,
-    ) -> FlowReport:
-        """Async counterpart of :meth:`run`, driven by a
-        :class:`~repro.flow.scheduler.StageScheduler` on the caller's
-        event loop.
-
-        Identical contract and (bit-identical) results; independent
-        stages run concurrently, and runs sharing this flow's context —
-        other modes of a sweep, other service jobs — dedup in-flight
-        work via the context's single-flight settle.
-        """
-        config = config or FlowConfig()
-        context = context if context is not None else self.context
-        trace = trace if trace is not None else FlowTrace()
-        self.preflight(config)
-
-        try:
-            artifacts = await scheduler.execute(
-                self, config, context, trace, journal=journal, interrupt=interrupt
-            )
-        except FlowInterrupted as exc:
-            # repro-lint: allow[blocking-in-async] signal unwind: the loop is about to stop, so persist the cache and the stop record without yielding
-            context.flush()
-            if journal is not None:
-                # repro-lint: allow[blocking-in-async] same unwind: a yielded append could lose the record a resume replays from
-                journal.record_interrupted(exc.signal_name, exc.next_stage)
-            raise
-
-        return self._assemble_report(config, artifacts, trace)
-
     def _assemble_report(
         self,
         config: FlowConfig,
@@ -610,8 +561,7 @@ class PostOpcTimingFlow:
         trace: FlowTrace,
     ) -> FlowReport:
         """Turn the settled artifacts into a :class:`FlowReport` (pure
-        post-processing — shared verbatim by the serial and async paths,
-        so the two cannot drift)."""
+        post-processing of the stage outputs)."""
         # Degraded-coverage accounting: gates quarantined by metrology
         # (bad CD extraction) or back-annotation (non-physical derate)
         # run on drawn CDs; past the threshold the number is meaningless.

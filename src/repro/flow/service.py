@@ -1,15 +1,15 @@
-"""Flow-as-a-service front-end over the async scheduler.
+"""Flow-as-a-service front-end: an asyncio job server over the flows.
 
 :class:`FlowService` turns a set of pre-built flows (one per design) into
 an asyncio job server: ``submit`` enqueues a flow or sweep request onto a
 **bounded** queue (a full queue rejects with
 :class:`~repro.flow.errors.ServiceRejectedError` — backpressure, not
-unbounded buffering), a fixed pool of workers drains it through one
-shared :class:`~repro.flow.scheduler.StageScheduler` and the flows'
-shared :class:`~repro.flow.context.FlowContext`, and
+unbounded buffering), a fixed pool of workers drains it — each job runs
+the serial stage loop on its own thread against the flows' shared
+:class:`~repro.flow.context.FlowContext` — and
 ``status``/``result``/``report`` expose each job's lifecycle.
 
-Because every worker settles stages against the same context, two
+Because every job settles stages against the same context, two
 concurrent identical submissions compute each artifact key **exactly
 once**: the second job's stages either block on the first's in-flight
 settle (counted ``deduped`` in its trace) or serve finished artifacts as
@@ -27,7 +27,9 @@ code, and the service survives ``kill -9`` with no lost work:
   single watchdog task cancels jobs past their deadline (reason
   ``deadline``) or silent longer than ``stage_timeout_s`` (reason
   ``hung-stage``) — both surface as exit code 2 and the worker moves on
-  to the next job instead of staying pinned.
+  to the next job instead of staying pinned.  The abandoned job thread
+  is told to stop at its next stage boundary, and the job's journal is
+  closed with the terminal record, so the thread cannot write past it.
 * **Per-design circuit breakers.**  ``breaker_threshold`` consecutive
   failures (exit codes 1/2; validation and quarantine are the caller's
   fault, not the design's) open the breaker: submits reject with
@@ -71,10 +73,9 @@ from repro.flow.errors import (
     FlowError,
     ServiceRejectedError,
 )
-from repro.flow.journal import RunJournal
+from repro.flow.journal import InterruptGuard, RunJournal
 from repro.flow.parallel import ParallelExecutor
 from repro.flow.postopc import FlowConfig, FlowReport, PostOpcTimingFlow
-from repro.flow.scheduler import StageScheduler
 from repro.flow.sweep import FlowSweep, SweepResult
 
 #: FlowConfig fields settable through the socket protocol (simple JSON
@@ -222,7 +223,6 @@ def _summarize_report(report: FlowReport) -> Dict[str, Any]:
         "cache_hits": trace.cache_hits,
         "cache_misses": trace.cache_misses,
         "deduped": trace.deduped,
-        "concurrent_stages": trace.concurrent_stages,
     }
 
 
@@ -280,7 +280,6 @@ class FlowService:
         max_queue: int = 16,
         workers: int = 2,
         run_root: Optional[str] = None,
-        max_concurrent_stages: Optional[int] = None,
         deadline_s: Optional[float] = None,
         stage_timeout_s: Optional[float] = None,
         watchdog_poll_s: float = 0.1,
@@ -319,7 +318,6 @@ class FlowService:
         self.max_queue = max_queue
         self.n_workers = workers
         self.run_root = run_root
-        self.scheduler = StageScheduler(max_concurrent_stages)
         self.deadline_s = deadline_s
         self.stage_timeout_s = stage_timeout_s
         self.watchdog_poll_s = watchdog_poll_s
@@ -698,41 +696,47 @@ class FlowService:
                                  fault_plan=self.fault_plan)
 
     def _beat(self, job: Job) -> None:
-        """Journal-append heartbeat: the job's scheduler is alive."""
+        """Journal-append heartbeat: the job's flow thread is alive."""
         job.last_beat = self._time()
 
     async def _run_job(self, job: Job) -> None:
         flow = self.flows[job.design]
         journal: Optional[RunJournal] = None
+        # Never entered: the service, not a signal, sets .interrupted when
+        # it abandons the job, so the flow thread stops at its next stage
+        # boundary instead of running the rest of the flow.
+        stop = InterruptGuard()
         try:
             journal = await asyncio.to_thread(self._open_journal, job)
             if journal is not None:
                 journal.add_listener(lambda record: self._beat(job))
             if job.op == "flow":
-                report = await flow.run_async(
-                    job.config, self.scheduler, journal=journal
+                report = await asyncio.to_thread(
+                    flow.run, job.config, journal=journal, interrupt=stop
                 )
                 job.result = report
                 job.summary = _summarize_report(report)
             else:
-                sweep_result = await FlowSweep(flow).run_async(
-                    job.config, scheduler=self.scheduler, journal=journal
+                sweep_result = await asyncio.to_thread(
+                    FlowSweep(flow).run, job.config,
+                    journal=journal, interrupt=stop,
                 )
                 job.result = sweep_result
                 job.summary = _summarize_sweep(sweep_result)
             job.state = "done"
             job.exit_code = 0
             if journal is not None:
-                journal.record_complete(job_id=job.id)
+                journal.finish("complete", job_id=job.id)
         except asyncio.CancelledError:
             # Watchdog (deadline / hung stage) or bounded stop.  The
             # deadline contract reuses the interrupted exit code: the run
             # was stopped by the service, not broken by the design.
+            reason = job.cancel_reason or "cancelled"
+            stop.interrupted = reason
             job.state = "failed"
             job.exit_code = EXIT_INTERRUPTED
             job.result = None
             job.summary = {}
-            reason = job.cancel_reason or "cancelled"
             if reason == "deadline":
                 job.error = (
                     f"deadline exceeded "
@@ -747,32 +751,24 @@ class FlowService:
                 job.error = "service stopped before the job finished"
             if journal is not None:
                 try:
-                    journal.append("failed", error=job.error, reason=reason,
+                    journal.finish("failed", error=job.error, reason=reason,
                                    exit_code=EXIT_INTERRUPTED)
                 except OSError:
                     pass
             raise
-        except FlowError as exc:
-            job.state = "failed"
-            job.exit_code = exc.exit_code
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.result = None
-            job.summary = {}
-            if journal is not None:
-                try:
-                    journal.record_failed(exc)
-                except OSError:
-                    pass
         # repro-lint: allow[broad-except] service isolation: one bad job must not kill the worker pool
         except Exception as exc:
             job.state = "failed"
-            job.exit_code = EXIT_FAILURE
+            job.exit_code = exc.exit_code if isinstance(exc, FlowError) \
+                else EXIT_FAILURE
             job.error = f"{type(exc).__name__}: {exc}"
             job.result = None
             job.summary = {}
             if journal is not None:
+                # On the loop, like the other terminal records: the flow
+                # thread has returned, so the write lock is uncontended.
                 try:
-                    journal.record_failed(exc)
+                    journal.finish("failed", error=job.error)
                 except OSError:
                     pass
         finally:
@@ -833,10 +829,10 @@ class FlowService:
     async def _watchdog(self) -> None:
         """Cancel jobs past their deadline or silent past stage_timeout.
 
-        Re-cancels every poll until the job task actually dies: the first
-        CancelledError can land while the scheduler is settling in-flight
-        stages, and a *hung* stage would otherwise keep the unwind (and
-        the worker) pinned indefinitely.
+        Re-cancels every poll until the job task is done.  The cancel
+        lands at the job's ``await`` on its flow thread, so a hung stage
+        never pins the worker; the thread itself is told to stop at its
+        next stage boundary (see :meth:`_run_job`).
         """
         while not self._stopped:
             now = self._time()

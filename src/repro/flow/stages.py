@@ -489,22 +489,26 @@ def settle_stage(
     stage: FlowStage,
     config: "FlowConfig",
     key: str,
-    artifacts: Dict[str, Any],
+    parent_outputs: Sequence[Dict[str, Any]],
     context: FlowContext,
 ) -> Tuple[Dict[str, Any], Dict[str, float], SettleOutcome]:
     """Settle one stage against the context: serve, await, or compute.
 
-    The single code path both the serial :meth:`StageGraph.execute` loop
-    and the async scheduler go through, so their results are identical by
-    construction.  Returns ``(outputs, counters, outcome)``; on a cache
-    hit the stage's :meth:`~FlowStage.install` hook has already re-attached
-    the artifacts to the flow.  A stage exception is wrapped in
+    The settle step of :meth:`StageGraph.execute`.  ``parent_outputs``
+    holds the outputs of the stage's declared parents; they are merged
+    into the dict ``run()`` sees only on a miss, so a cache hit copies
+    nothing.  Returns ``(outputs, counters, outcome)``; on a cache hit the
+    stage's :meth:`~FlowStage.install` hook has already re-attached the
+    artifacts to the flow.  A stage exception is wrapped in
     :class:`~repro.flow.errors.StageError` naming the stage and key
     (structured :class:`~repro.flow.errors.FlowError` subclasses pass
     through untouched), and nothing is cached.
     """
 
     def _compute() -> Tuple[Dict[str, Any], Dict[str, float]]:
+        artifacts: Dict[str, Any] = {}
+        for parent in parent_outputs:
+            artifacts.update(parent)
         counters: Dict[str, float] = {}
         try:
             if context.fault_plan is not None:
@@ -529,8 +533,8 @@ class StageGraph:
     ``requires()`` edges are validated up front (:meth:`validate` rejects
     missing producers, duplicate artifact providers, and cycles with a
     :class:`~repro.flow.errors.GraphValidationError` pinning the defect
-    kind) and drive both the serial :meth:`execute` loop and the async
-    :class:`~repro.flow.scheduler.StageScheduler` via :meth:`ready_set`.
+    kind) and drive the :meth:`execute` loop, which hands each stage the
+    outputs of its declared parents.
     """
 
     def __init__(self, stages: Sequence[FlowStage]) -> None:
@@ -628,17 +632,6 @@ class StageGraph:
                 )
         return order
 
-    def ready_set(self, config: "FlowConfig", done: Set[str]) -> List[FlowStage]:
-        """Stages whose parents are all in ``done`` and which are not
-        themselves done — the schedulable frontier, in declaration order."""
-        ready: List[FlowStage] = []
-        for stage in self.stages:
-            if stage.name in done:
-                continue
-            if all(parent in done for parent in stage.requires(config)):
-                ready.append(stage)
-        return ready
-
     def execute(
         self,
         flow: "PostOpcTimingFlow",
@@ -652,9 +645,12 @@ class StageGraph:
         artifacts.
 
         The graph is :meth:`validate`-d first, then walked in topological
-        order through :func:`settle_stage` — the same settle path the
-        async scheduler uses, so serial and concurrent runs are
-        bit-identical.  ``journal`` (a
+        order through :func:`settle_stage`.  Each stage's ``run()`` sees
+        only the merged outputs of its declared ``requires()`` parents, so
+        it cannot depend on an artifact its key does not cover.
+        Concurrent runs against one context (two service jobs) share work
+        through the context's single-flight settle, not through this loop.
+        ``journal`` (a
         :class:`~repro.flow.journal.RunJournal`) receives one ``stage``
         record per settled stage; ``interrupt`` (an
         :class:`~repro.flow.journal.InterruptGuard`) is polled *between*
@@ -663,17 +659,22 @@ class StageGraph:
         :class:`~repro.flow.errors.FlowInterrupted` unwinds the run.
         """
         artifacts: Dict[str, Any] = {}
-        keys: Dict[str, str] = {}
+        #: stage name -> (artifact key, outputs) of every settled stage
+        settled: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         for stage in self.validate(config):
             if interrupt is not None:
                 interrupt.checkpoint(next_stage=stage.name)
-            parents = stage.requires(config)
-            key = stage_key(flow, stage, config, tuple(keys[p] for p in parents))
-            keys[stage.name] = key
+            parent_keys: List[str] = []
+            parent_outputs: List[Dict[str, Any]] = []
+            for parent in stage.requires(config):
+                parent_key, parent_out = settled[parent]
+                parent_keys.append(parent_key)
+                parent_outputs.append(parent_out)
+            key = stage_key(flow, stage, config, tuple(parent_keys))
 
             start = time.perf_counter()
             outputs, counters, outcome = settle_stage(
-                flow, stage, config, key, artifacts, context
+                flow, stage, config, key, parent_outputs, context
             )
             end = time.perf_counter()
             if outcome.deduped:
@@ -689,6 +690,7 @@ class StageGraph:
                     record, key=key,
                     quarantined=int(record.counters.get("quarantined_gates", 0)),
                 )
+            settled[stage.name] = (key, outputs)
             artifacts.update(outputs)
         return artifacts
 

@@ -16,17 +16,13 @@ survivors plus a failure footer.  Only interruption
 (:class:`~repro.flow.errors.FlowInterrupted` / ``KeyboardInterrupt``)
 propagates — a stop request must stop the whole sweep, not skip a mode.
 
-:meth:`FlowSweep.run_async` rides the async scheduler: the four modes
-run as **one shared-prefix DAG** — every mode wants the same placement /
-drawn-STA / tagging keys, so the context's single-flight settle computes
-each exactly once (one mode computes, the others await and are served,
-counted as ``deduped``), and the mode-specific suffixes execute
-concurrently.
+Two sweeps racing on one context (two service jobs) share work through
+the context's single-flight settle: each artifact key is computed once,
+and the other sweep is served it, counted as ``deduped``.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +33,6 @@ from repro.flow.postopc import OPC_MODES, FlowConfig, FlowReport, PostOpcTimingF
 
 if TYPE_CHECKING:
     from repro.flow.journal import InterruptGuard, RunJournal
-    from repro.flow.scheduler import StageScheduler
 
 
 @dataclass
@@ -139,86 +134,5 @@ class FlowSweep:
             else:
                 if journal is not None:
                     journal.record_mode(mode, "ok")
-        return SweepResult(reports=reports, context=self.flow.context,
-                           failures=failures)
-
-    def run_concurrent(
-        self,
-        config: Optional[FlowConfig] = None,
-        *,
-        scheduler: Optional["StageScheduler"] = None,
-        journal: Optional["RunJournal"] = None,
-        interrupt: Optional["InterruptGuard"] = None,
-    ) -> SweepResult:
-        """Run every mode concurrently as one shared-prefix DAG.
-
-        Synchronous entry point for :meth:`run_async` (starts its own
-        event loop).  Same contract as :meth:`run` — bit-identical
-        reports, partial-failure safety, mode records journaled — but the
-        modes execute at once: the shared prefix (placement, drawn STA,
-        tagging, rule-OPC base) is computed exactly once via single-flight
-        dedup and the suffixes overlap.
-        """
-        return asyncio.run(self.run_async(
-            config, scheduler=scheduler, journal=journal, interrupt=interrupt,
-        ))
-
-    async def run_async(
-        self,
-        config: Optional[FlowConfig] = None,
-        *,
-        scheduler: Optional["StageScheduler"] = None,
-        journal: Optional["RunJournal"] = None,
-        interrupt: Optional["InterruptGuard"] = None,
-    ) -> SweepResult:
-        """Async counterpart of :meth:`run` over one shared-prefix DAG.
-
-        Every mode gets its own task on the caller's event loop, all
-        driven by one :class:`~repro.flow.scheduler.StageScheduler`
-        against the flow's shared context: concurrent requests for the
-        same artifact key (the drawn prefix every mode shares) collapse
-        into one computation, counted ``deduped`` in the other modes'
-        traces.  Mode outcomes are journaled in declared sweep order,
-        failures are captured per mode, and an interrupt stops the whole
-        sweep after in-flight stages settle.
-        """
-        from repro.flow.scheduler import StageScheduler
-
-        base = config or FlowConfig()
-        scheduler = scheduler if scheduler is not None else StageScheduler()
-
-        async def _one_mode(mode: str) -> FlowReport:
-            return await self.flow.run_async(
-                replace(base, opc_mode=mode), scheduler,
-                journal=journal, interrupt=interrupt,
-            )
-
-        tasks = {
-            mode: asyncio.create_task(_one_mode(mode), name=f"mode:{mode}")
-            for mode in self.modes
-        }
-        reports: Dict[str, FlowReport] = {}
-        failures: Dict[str, str] = {}
-        interrupted: Optional[FlowInterrupted] = None
-        # Collect in declared order so journal records and failure capture
-        # are deterministic regardless of completion timing.
-        for mode in self.modes:
-            try:
-                reports[mode] = await tasks[mode]
-            except FlowInterrupted as exc:
-                interrupted = interrupted or exc
-            # repro-lint: allow[broad-except] partial-failure safety: one bad mode must not discard the sweep
-            except Exception as exc:
-                failures[mode] = f"{type(exc).__name__}: {exc}"
-                if journal is not None:
-                    await asyncio.to_thread(
-                        journal.record_mode, mode, "failed",
-                        detail=failures[mode],
-                    )
-            else:
-                if journal is not None:
-                    await asyncio.to_thread(journal.record_mode, mode, "ok")
-        if interrupted is not None:
-            raise interrupted  # the flow already journaled the interruption
         return SweepResult(reports=reports, context=self.flow.context,
                            failures=failures)

@@ -7,12 +7,10 @@ counts, gates measured).  The trace replaces the ad-hoc ``runtimes`` dict
 of earlier versions (kept as a compatibility view) and serializes to JSON
 for the CLI's ``--trace`` flag.
 
-Under the async scheduler, records also carry their **execution window**
-(``t_start``/``t_end`` on a shared monotonic clock), from which
-:attr:`FlowTrace.concurrent_stages` derives the peak number of stages
-that were genuinely in flight at once, and :attr:`FlowTrace.deduped`
-counts settles served by another request's in-flight computation — the
-two counters that *prove* work was shared rather than merely claimed.
+Records also carry their execution window (``t_start``/``t_end`` on a
+shared monotonic clock), and :attr:`FlowTrace.deduped` counts settles
+served by another run's in-flight computation — the counter that *proves*
+work was shared rather than merely claimed.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ class StageRecord:
     #: which cache tier served a hit ("memory" | "disk"); None for live runs
     cache_source: Optional[str] = None
     #: execution window on a shared monotonic clock (both 0.0 when the
-    #: run predates the scheduler or the caller didn't time the stage)
+    #: caller didn't time the stage)
     t_start: float = 0.0
     t_end: float = 0.0
 
@@ -56,9 +54,6 @@ class FlowTrace:
 
     def __init__(self) -> None:
         self.records: List[StageRecord] = []
-        #: run-level facts attached by the engine (e.g. the scheduler sets
-        #: ``cache_consistent`` from the context's counter invariants)
-        self.annotations: Dict[str, object] = {}
 
     def add(
         self,
@@ -123,44 +118,16 @@ class FlowTrace:
         """Settles served by another request's in-flight computation."""
         return int(self.counter_total("deduped"))
 
-    @property
-    def concurrent_stages(self) -> int:
-        """Peak number of stages whose execution windows overlapped.
-
-        Derived from the recorded ``t_start``/``t_end`` windows by an
-        event sweep; windows that merely touch (one ends exactly where
-        the next begins) do not count as overlapping.  1 for a serial
-        run, 0 for an empty trace or one without timed windows.
-        """
-        events: List[tuple] = []
-        for r in self.records:
-            if r.t_end > r.t_start:
-                events.append((r.t_start, 1))
-                events.append((r.t_end, -1))
-        if not events:
-            return 0
-        # Sort ends before starts at equal times so touching windows
-        # never register as concurrent.
-        events.sort(key=lambda ev: (ev[0], ev[1]))
-        live = peak = 0
-        for _, delta in events:
-            live += delta
-            peak = max(peak, live)
-        return peak
-
     # -- serialization ------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "stages": [r.as_dict() for r in self.records],
             "total_wall_s": self.total_wall_s,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "deduped": self.deduped,
-            "concurrent_stages": self.concurrent_stages,
         }
-        payload.update(self.annotations)
-        return payload
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)

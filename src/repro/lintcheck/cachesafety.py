@@ -536,9 +536,10 @@ class CacheUndeclaredInputRule(ProjectRule):
 class StageEdgeContractRule(ProjectRule):
     """``provides()`` must agree with what ``run()`` actually returns.
 
-    The scheduler trusts the declared edges: ``StageGraph.validate``
-    checks duplicate producers against ``provides()``, and the async
-    scheduler wires parent outputs to children from the same declaration.
+    The stage loop trusts the declared edges: ``StageGraph.validate``
+    checks duplicate producers against ``provides()``, and
+    ``StageGraph.execute`` wires parent outputs to children from the same
+    declaration.
     A stage that returns an artifact it never declared leaves the graph
     blind to the edge (two stages could silently produce it); a declared
     artifact ``run()`` never returns breaks every consumer that

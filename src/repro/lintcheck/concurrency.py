@@ -1,7 +1,7 @@
 """Concurrency-safety rules: lock discipline, lock order, async blocking.
 
-The flow became a concurrent system — an asyncio scheduler and job
-service driving thread-pool stages over a lock-protected shared cache —
+The flow became a concurrent system — an asyncio job service running
+flows on worker threads over a lock-protected shared cache —
 and the determinism guarantee now also rests on thread/async safety.
 Three whole-program rules, sharing one :class:`ConcurrencyModel` built
 from the :class:`~repro.lintcheck.callgraph.Project`, prove the three

@@ -294,6 +294,37 @@ class TestServiceFaults:
         assert records[-1]["type"] == "failed"
         assert records[-1]["reason"] == "hung-stage"
 
+    def test_abandoned_job_thread_stops_at_next_stage_boundary(
+        self, tech, lib
+    ):
+        plan, flows = _flows_hanging_in_metrology(tech, lib)
+        ctx = flows["c17"].context
+
+        async def scenario():
+            service = FlowService(flows, workers=1)
+            await service.start()
+            try:
+                job = service.submit("c17", config=FAST)
+                waited = 0.0
+                while plan.fired.get("stage-hang", 0) == 0:
+                    assert waited < 300, "metrology never started"
+                    await asyncio.sleep(0.01)
+                    waited += 0.01
+                await service.stop(drain_timeout=0.1)
+                return service.status(job)
+            finally:
+                plan.release()  # the hung stage finishes on its thread
+
+        # asyncio.run returns only after the released thread has exited
+        status = asyncio.run(scenario())
+        assert status["state"] == "failed"
+        assert status["reason"] == "stopped"
+        # the stage in flight at the stop settled and was cached; the
+        # thread then stopped instead of running the rest of the flow
+        assert ctx.misses["metrology"] == 1
+        assert not {"back_annotate", "sta_post", "hold", "power"} \
+            & set(ctx.misses)
+
     def test_deadline_exceeded_fails_job_with_exit_2(self, tech, lib):
         plan, flows = _flows_hanging_in_metrology(tech, lib)
 
@@ -445,7 +476,7 @@ class TestOrphanRecovery:
             str(tmp_path / "job-0007"),
             _orphan_manifest(flows["c17"], FAST),
         )
-        journal.record_event("start", "place", "k0")
+        journal.append("stage", name="place", key="k0")
         journal.close()
 
         async def scenario():

@@ -1,6 +1,6 @@
 """FlowContext correctness under concurrent access.
 
-The async scheduler and the flow service settle many stages against one
+The flow service runs many jobs, each on its own thread, against one
 shared context at once, so the cache must guarantee: single-flight
 computation (N concurrent requests for one key compute once), recovery
 from disk corruption under contention, eviction never tearing an entry

@@ -1,15 +1,22 @@
 """Tests for the declarative stage graph: explicit requires()/provides()
 edges, topological validation with the GraphValidationError taxonomy, and
-the ready_set() frontier the async scheduler schedules from."""
+the execute() loop on a synthetic flow (parent-output merging, failure
+wrapping, interruption between stages, input narrowing)."""
 
 import pytest
 
 from repro.flow import (
     EXIT_VALIDATION,
     FlowConfig,
+    FlowContext,
+    FlowInterrupted,
     FlowStage,
+    FlowTrace,
     GraphValidationError,
     InputValidationError,
+    InterruptGuard,
+    RunJournal,
+    StageError,
     StageGraph,
     default_stage_graph,
 )
@@ -54,22 +61,6 @@ class TestDefaultGraph:
         assert producers["mask_polygons"] == "opc"
         assert producers["measurements"] == "metrology"
         assert producers["derates"] == "back_annotate"
-
-    def test_ready_set_frontier(self):
-        graph = default_stage_graph()
-        config = FlowConfig(opc_mode="rule")
-        first = [s.name for s in graph.ready_set(config, set())]
-        assert first == ["place"]
-        second = [s.name for s in graph.ready_set(config, {"place"})]
-        # opc only needs the placement in rule mode, so it is ready
-        # alongside the drawn STA — the branch the scheduler overlaps.
-        assert second == ["sta_drawn", "opc"]
-
-    def test_ready_set_selective_gates_opc_on_tagging(self):
-        graph = default_stage_graph()
-        config = FlowConfig(opc_mode="selective")
-        names = [s.name for s in graph.ready_set(config, {"place"})]
-        assert "opc" not in names
 
     def test_stage_lookup(self):
         graph = default_stage_graph()
@@ -121,3 +112,121 @@ class TestValidationErrors:
     def test_nameless_stage_rejected(self):
         with pytest.raises(ValueError):
             StageGraph([_stage("")])
+
+
+# -- execute() on a synthetic flow --------------------------------------------
+
+
+class _FakeFlow:
+    """Just enough surface for stage_key/settle_stage: a fingerprint and
+    a graph.  Stages carry their own behavior."""
+
+    def __init__(self, stages):
+        self.fingerprint = "fake-flow"
+        self.graph = StageGraph(stages)
+
+
+def _run_stage(name, requires=(), provides=None, body=None):
+    """A stage whose run() returns ``body(artifacts)``, by default one
+    more than the sum of the artifacts it was handed."""
+    provides = (name,) if provides is None else tuple(provides)
+
+    # repro-lint: allow[stage-contract] synthetic execute-test stage
+    class _Stage(FlowStage):
+        pass
+
+    def run(self, flow, config, artifacts, counters, context):
+        if body is not None:
+            return body(artifacts)
+        return {name: sum(artifacts.values()) + 1 if artifacts else 1}
+
+    _Stage.name = name
+    _Stage.requires = lambda self, config, _r=tuple(requires): _r
+    _Stage.provides = lambda self, _p=provides: _p
+    _Stage.run = run
+    return _Stage()
+
+
+def _execute(flow, context=None, **kwargs):
+    # explicit None check: an empty FlowContext is falsy
+    context = FlowContext() if context is None else context
+    trace = FlowTrace()
+    artifacts = flow.graph.execute(flow, FlowConfig(), context, trace,
+                                   **kwargs)
+    return artifacts, context, trace
+
+
+class TestExecute:
+    def test_diamond_runs_and_merges(self):
+        flow = _FakeFlow([
+            _run_stage("a"),
+            _run_stage("b", requires=("a",)),
+            _run_stage("c", requires=("a",)),
+            _run_stage("d", requires=("b", "c")),
+        ])
+        artifacts, context, trace = _execute(flow)
+        # d sums only its parents' outputs (2 + 2), not a's as well
+        assert artifacts == {"a": 1, "b": 2, "c": 2, "d": 5}
+        assert [r.name for r in trace] == ["a", "b", "c", "d"]
+        assert context.consistency() == []
+
+    def test_stage_exception_wrapped_and_nothing_downstream_runs(self):
+        def fail(artifacts):
+            raise RuntimeError("boom")
+
+        flow = _FakeFlow([
+            _run_stage("a"),
+            _run_stage("bad", requires=("a",), body=fail),
+            _run_stage("after", requires=("bad",)),
+        ])
+        context = FlowContext()
+        with pytest.raises(StageError) as excinfo:
+            _execute(flow, context=context)
+        assert excinfo.value.stage == "bad"
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        # the failed stage cached nothing; its child never ran
+        assert len(context) == 1
+        assert "after" not in context.misses
+
+    def test_interrupt_lets_in_flight_settle_then_raises(self, tmp_path):
+        guard = InterruptGuard()
+
+        def stop_then_finish(artifacts):
+            guard.interrupted = "SIGINT"  # as the signal handler would
+            return {"b": 2}
+
+        flow = _FakeFlow([
+            _run_stage("a"),
+            _run_stage("b", requires=("a",), body=stop_then_finish),
+            _run_stage("c", requires=("b",)),
+        ])
+        context = FlowContext()
+        journal = RunJournal(str(tmp_path))
+        with pytest.raises(FlowInterrupted) as excinfo:
+            _execute(flow, context=context, journal=journal,
+                     interrupt=guard)
+        journal.close()
+        # the in-flight stage settled, was cached and journaled; the
+        # pending stage is named so resume knows where it stopped
+        assert context.misses["b"] == 1
+        assert excinfo.value.next_stage == "c"
+        assert "c" not in context.misses
+        assert list(journal.completed_stage_keys()) == ["a", "b"]
+
+    def test_inputs_narrowed_to_declared_parents(self):
+        seen = {}
+
+        def record(artifacts):
+            seen.update(artifacts)
+            return {"c": 3}
+
+        flow = _FakeFlow([
+            _run_stage("a"),
+            _run_stage("b", requires=("a",)),
+            # c declares only b: it must not see a's artifact even though
+            # the loop already holds it
+            _run_stage("c", requires=("b",), body=record),
+        ])
+        artifacts, _context, _trace = _execute(flow)
+        assert set(seen) == {"b"}
+        assert set(artifacts) == {"a", "b", "c"}

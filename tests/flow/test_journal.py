@@ -11,6 +11,8 @@ from repro.flow import (
     EXIT_INTERRUPTED,
     EXIT_QUARANTINE,
     EXIT_VALIDATION,
+    FaultPlan,
+    FaultSpec,
     FlowInterrupted,
     InputValidationError,
     InterruptGuard,
@@ -18,6 +20,7 @@ from repro.flow import (
     RunJournal,
     StageError,
 )
+from repro.flow.journal import JournalClosedError
 
 
 class TestJournalRoundTrip:
@@ -74,6 +77,43 @@ class TestJournalRoundTrip:
         assert len(lines) == 2
         assert json.loads(lines[1])["name"] == "place"
         journal.close()
+
+
+class TestClosedJournal:
+    def test_append_after_close_raises_and_leaves_file_unchanged(
+        self, tmp_path
+    ):
+        journal = RunJournal.create(str(tmp_path), {"fingerprint": "f"})
+        journal.append("stage", name="place", key="k1")
+        journal.close()
+        before = (tmp_path / RunJournal.FILENAME).read_bytes()
+        with pytest.raises(JournalClosedError, match="'stage'"):
+            journal.append("stage", name="opc", key="k2")
+        with pytest.raises(JournalClosedError):
+            journal.record_complete()
+        assert (tmp_path / RunJournal.FILENAME).read_bytes() == before
+
+    def test_finish_writes_terminal_record_then_refuses_appends(
+        self, tmp_path
+    ):
+        journal = RunJournal.create(str(tmp_path), {"fingerprint": "f"})
+        journal.finish("failed", error="stopped", reason="hung-stage")
+        with pytest.raises(JournalClosedError):
+            journal.append("stage", name="opc", key="k2")
+        journal.close()  # idempotent
+        records = RunJournal(str(tmp_path)).records()
+        assert [r["type"] for r in records] == ["manifest", "failed"]
+        assert records[-1]["reason"] == "hung-stage"
+
+    def test_failed_finish_leaves_journal_open(self, tmp_path):
+        plan = FaultPlan([FaultSpec(site="journal-write", match="complete")])
+        journal = RunJournal.create(str(tmp_path), {"fingerprint": "f"},
+                                    fault_plan=plan)
+        with pytest.raises(OSError, match="injected"):
+            journal.finish("complete")
+        journal.finish("failed", error="OSError: injected")
+        types = [r["type"] for r in RunJournal(str(tmp_path)).records()]
+        assert types == ["manifest", "failed"]
 
 
 class TestListenerRegistrationRace:

@@ -109,8 +109,7 @@ class TestServeKillRecovery:
             deadline = time.time() + 300
             while time.time() < deadline:
                 assert proc.poll() is None, "server died before the kill"
-                # scheduler events carry a "stage" key too; wait for a
-                # settled-stage record specifically
+                # wait for a settled-stage record specifically
                 if os.path.exists(journal_path) and any(
                     '"type": "stage"' in line for line in open(journal_path)
                 ):

@@ -186,6 +186,7 @@ class TestSweepSharing:
         # rule/model/selective share one rule-OPC base computation.
         assert ctx.misses["opc.rule_base"] == 1
         assert ctx.hits["opc.rule_base"] == 2
+        assert ctx.consistency() == []
         # Every mode produced a full report over the same drawn baseline.
         drawn = {r.wns_drawn for r in result.reports.values()}
         assert len(drawn) == 1

@@ -151,9 +151,8 @@ class TestShippedFlowAcceptance:
     def test_audited_waivers_stay_visible_to_no_waivers(self, capsys):
         assert main(["lint", "--select", SELECT, "--no-waivers", SRC_FLOW]) == 1
         out = capsys.readouterr().out
-        # the deliberate on-loop journal/flush sites in the audit
-        assert "scheduler.py" in out
-        assert "postopc.py" in out
+        # the deliberate on-loop orphan scan in the audit
+        assert "service.py" in out
 
 
 class TestRoundTrips:
