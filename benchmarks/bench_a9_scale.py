@@ -3,10 +3,9 @@
 Three claims behind the scale work, measured on the structured-ASIC
 fabric at 1k and 3k gates:
 
-* **Sharded litho beats the tile path.**  The classic metrology planner
-  walks every 512-pixel tile over the remaining gates (an
-  O(tiles x gates) scan) and spends most of each FFT on the ambit halo;
-  the shard planner bins gates in O(gates) and amortizes the halo over
+* **Sharded litho beats the tile path.**  Both plans are one window
+  grid that bins gates in O(gates), but 512-pixel tiles spend most of
+  each FFT on the ambit halo, while shards amortize it over
   ~1024-pixel windows.  Cold-cache full flows are timed both ways.
 * **Sharding is dispatch-invariant.**  The same shard plan measured
   serially and through the process-backed executor must be bit-identical.

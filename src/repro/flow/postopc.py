@@ -55,6 +55,7 @@ from repro.flow.trace import FlowTrace
 from repro.geometry import Polygon, Rect
 from repro.litho.resist import NOMINAL, ProcessCondition
 from repro.litho.simulator import LithographySimulator
+from repro.litho.tiling import WindowGrid, plan_shard_grid, plan_tile_grid
 from repro.metrology import CdStatistics, summarize_cds
 from repro.metrology.gate_cd import GateCdMeasurement
 from repro.opc import ModelOpcRecipe, OpcTileTask, RuleOpcRecipe, apply_rule_opc
@@ -393,11 +394,22 @@ class PostOpcTimingFlow:
                 "pixel_nm",
                 f"simulator pixel must be positive, got {self.simulator.settings.pixel_nm}",
             )
-        if config.opc_mode in ("model", "selective"):
+        # Plan the window geometries this run will use (tiles for unsharded
+        # metrology and for model OPC, shard windows when it shards) so
+        # their own errors surface here.  They depend only on the simulator
+        # and the shard count, so a unit region probes them without the
+        # layout.
+        probe = Rect(0.0, 0.0, 1.0, 1.0)
+        if config.litho_shards == 0 or config.opc_mode in ("model", "selective"):
             try:
-                self.simulator.tile_span
+                plan_tile_grid(self.simulator, probe)
             except ValueError as exc:
                 raise InputValidationError("max_tile_px", str(exc)) from exc
+        if config.litho_shards >= 1:
+            try:
+                plan_shard_grid(self.simulator, probe, config.litho_shards)
+            except ValueError as exc:
+                raise InputValidationError("litho_shards", str(exc)) from exc
 
     # -- pipeline stages ----------------------------------------------------
 
@@ -445,6 +457,22 @@ class PostOpcTimingFlow:
                                           counters=counters)
         return corrected, len(indices)
 
+    def _opc_plan(
+        self,
+        base: Sequence[Polygon],
+        target_indices: Sequence[int],
+        config: FlowConfig,
+    ) -> Tuple[WindowGrid, List[Tuple[int, List[int], List[int]]]]:
+        """The model-OPC tile plan: the die's tile grid, and for each tile
+        that owns a target (by its rule-OPC bbox center) the owned target
+        indices and the indices of the ``base`` polygons in its window."""
+        die = self.placement.die.expanded(self.tech.rules.poly_endcap)
+        grid = plan_tile_grid(self.simulator, die, config.condition)
+        plan = grid.assign(
+            ((idx, base[idx].bbox.center) for idx in sorted(target_indices)),
+            base, self.simulator.ambit)
+        return grid, plan
+
     def _model_opc_tiled(
         self,
         drawn: Sequence[Polygon],
@@ -455,59 +483,31 @@ class PostOpcTimingFlow:
     ) -> List[Polygon]:
         """Model-OPC the selected polygons tile by tile.
 
-        Tiles follow the simulator's tiling of the die; each tile corrects
-        the targets whose center falls in its interior.  All tiles see the
-        same fixed context — the ``mask`` snapshot handed in (rule-OPC
-        output for everything not being corrected here) — so tiles are
-        independent and serial/parallel execution is bit-identical.
+        Tiles are the die's :func:`plan_tile_grid` windows; each tile
+        corrects the targets it owns.  All tiles see the same fixed
+        context — the ``mask`` snapshot handed in (rule-OPC output for
+        everything not being corrected here) — so tiles are independent
+        and serial/parallel execution is bit-identical.
         """
         if not target_indices:
             return mask
-        die = self.placement.die.expanded(self.tech.rules.poly_endcap)
-        try:
-            tile_span = self.simulator.tile_span
-        except ValueError:
-            raise ValueError("simulator tiling too small for model OPC")
         base = list(mask)
-        pending = set(target_indices)
-        nx = max(1, int(-(-die.width // tile_span)))
-        ny = max(1, int(-(-die.height // tile_span)))
+        grid, plan = self._opc_plan(base, target_indices, config)
         tasks: List[OpcTileTask] = []
-        tile_targets: List[List[int]] = []
-        for j in range(ny):
-            for i in range(nx):
-                interior = Rect(
-                    die.x0 + i * tile_span,
-                    die.y0 + j * tile_span,
-                    min(die.x0 + (i + 1) * tile_span, die.x1),
-                    min(die.y0 + (j + 1) * tile_span, die.y1),
-                )
-                local = sorted(
-                    idx for idx in pending
-                    if interior.contains_point(base[idx].bbox.center)
-                )
-                if not local:
-                    continue
-                window = interior.expanded(self.simulator.ambit)
-                local_set = set(local)
-                # Targets are the DRAWN shapes (design intent); the rule-OPC
-                # snapshot only serves as context for everything else.
-                tasks.append(OpcTileTask(
-                    targets=tuple(drawn[idx] for idx in local),
-                    context=tuple(
-                        poly for k, poly in enumerate(base)
-                        if k not in local_set
-                        and poly.bbox.overlaps(window, strict=False)
-                    ),
-                    recipe=config.model_recipe,
-                    condition=config.condition,
-                ))
-                tile_targets.append(local)
-                pending.difference_update(local)
+        for window, local, context in plan:
+            local_set = set(local)
+            # Targets are the DRAWN shapes (design intent); the rule-OPC
+            # snapshot only serves as context for everything else.
+            tasks.append(OpcTileTask(
+                targets=tuple(drawn[idx] for idx in local),
+                context=tuple(base[k] for k in context if k not in local_set),
+                recipe=config.model_recipe,
+                condition=grid.conditions[window],
+            ))
         results = self.executor.map_chunks(correct_tile_chunk, self.simulator, tasks,
                                            counters=counters)
         out = list(base)
-        for local, corrected in zip(tile_targets, results):
+        for (_, local, _), corrected in zip(plan, results):
             for idx, poly in zip(local, corrected):
                 out[idx] = poly
         if counters is not None:

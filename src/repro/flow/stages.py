@@ -37,10 +37,10 @@ from repro.flow.errors import FlowError, GraphValidationError, StageError
 from repro.flow.trace import FlowTrace
 from repro.metrology.gate_cd import (
     measure_tile_chunk,
+    plan_metrology_shards,
     plan_metrology_tiles,
     quarantine_measurements,
 )
-from repro.metrology.shard import plan_metrology_shards
 from repro.opc import RuleOpcRecipe
 from repro.timing import (
     TimingConstraints,
@@ -242,13 +242,14 @@ class OpcStage(FlowStage):
 class MetrologyStage(FlowStage):
     """Litho simulation + per-transistor printed-CD extraction.
 
-    Two window plans: the classic 512-px tile decomposition, or — when
-    ``config.litho_shards`` is set — large halo-amortized shard windows
-    (:mod:`repro.metrology.shard`), which image the same layout with far
-    less redundant ambit work.  Either plan fans out through the flow's
-    executor; serial and parallel dispatch of one plan are bit-identical.
-    The two plans measure slightly different CD values (different FFT
-    window geometry), which is why the shard count is in the config slice.
+    One window grid (:mod:`repro.litho.tiling`) in one of two geometries:
+    the classic 512-px tiles, or — when ``config.litho_shards`` is set —
+    large halo-amortized shard windows, which image the same layout with
+    far less redundant ambit work.  Either plan fans out through the
+    flow's executor; serial and parallel dispatch of one plan are
+    bit-identical.  The two geometries measure slightly different CD
+    values (different FFT window quantization), which is why the shard
+    count is in the config slice.
     """
 
     name = "metrology"

@@ -13,7 +13,9 @@ The imaging chain mirrors a production litho simulator of the paper's era:
 * :mod:`repro.litho.resist` — constant-threshold resist with Gaussian
   acid-diffusion blur and dose scaling,
 * :mod:`repro.litho.contour` — marching-squares printed-contour extraction,
-* :mod:`repro.litho.simulator` — the tile-based high-level driver.
+* :mod:`repro.litho.simulator` — the high-level windowed driver,
+* :mod:`repro.litho.tiling` — the window grid (tile and shard geometries)
+  that cuts a full layout into simulation windows.
 """
 
 from repro.litho.source import SourcePoint, make_source
@@ -22,15 +24,13 @@ from repro.litho.raster import MaskGrid, rasterize
 from repro.litho.imaging import AerialImage, OpticalModel
 from repro.litho.resist import ProcessCondition, ResistModel
 from repro.litho.contour import marching_squares
-from repro.litho.simulator import LithographySimulator, TileSpec
-from repro.litho.shard import (
+from repro.litho.simulator import LithographySimulator
+from repro.litho.tiling import (
     DEFAULT_MAX_SHARD_PX,
-    ShardContourTask,
-    ShardGrid,
-    plan_shard_contours,
+    TileSpec,
+    WindowGrid,
     plan_shard_grid,
-    shard_contour_chunk,
-    stitched_printed_contours,
+    plan_tile_grid,
 )
 from repro.litho.window import BossungData, ProcessWindow, bossung_data, extract_process_window
 from repro.litho.metrics import (
@@ -54,12 +54,9 @@ __all__ = [
     "LithographySimulator",
     "TileSpec",
     "DEFAULT_MAX_SHARD_PX",
-    "ShardGrid",
-    "ShardContourTask",
+    "WindowGrid",
+    "plan_tile_grid",
     "plan_shard_grid",
-    "plan_shard_contours",
-    "shard_contour_chunk",
-    "stitched_printed_contours",
     "nils_at_edge",
     "grating_nils",
     "grating_meef",

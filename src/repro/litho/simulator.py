@@ -1,19 +1,18 @@
-"""High-level lithography driver: windows, tiling, calibration.
+"""High-level lithography driver: windows and calibration.
 
 ``LithographySimulator`` owns one optical model + resist model pair and
 produces latent images (diffused, dose-scaled aerial images whose threshold
-level-set is the resist edge) for arbitrary layout windows.  Large regions
-are processed in overlapping tiles: each tile carries an *ambit* halo of
-surrounding geometry so proximity effects are correct in the tile interior,
-exactly how production OPC/verification tools partition a chip.
+level-set is the resist edge) for arbitrary layout windows.  Every window
+carries an *ambit* halo of surrounding geometry so proximity effects are
+correct in its interior; :mod:`repro.litho.tiling` cuts large regions into
+such windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.geometry import GridIndex, Polygon, Rect
+from repro.geometry import Polygon, Rect
 from repro.litho.contour import contours_of_latent
 from repro.litho.imaging import AerialImage, OpticalModel
 from repro.litho.raster import rasterize
@@ -24,28 +23,6 @@ from repro.units import Dimensionless, Nanometers
 #: default interaction halo; ~4x lambda/NA — beyond the proximity range, and
 #: big enough that periodic-replica (FFT wrap) CD noise stays under ~0.5 nm
 DEFAULT_AMBIT = 1200.0
-
-
-@dataclass
-class TileResult:
-    """Latent image of one tile plus the interior where results are valid."""
-
-    latent: AerialImage
-    interior: Rect
-
-
-@dataclass(frozen=True)
-class TileSpec:
-    """One tile of a tiled simulation, before any imaging happens.
-
-    The spec is a plain, picklable value — the work-list unit that
-    parallel executors ship to worker processes.  ``condition`` is already
-    resolved (per-tile ACLV maps are evaluated at planning time), so
-    workers never see closures.
-    """
-
-    interior: Rect
-    condition: ProcessCondition
 
 
 class LithographySimulator:
@@ -132,89 +109,6 @@ class LithographySimulator:
         latent = self.latent_image(polygons, region, condition)
         contours = contours_of_latent(latent, self.resist.threshold)
         return [c for c in contours if c.bbox.intersection(region) is not None]
-
-    # -- tiled full-layout simulation -------------------------------------------
-
-    @property
-    def tile_span(self) -> float:
-        """Interior side length of one simulation tile."""
-        span = self.max_tile_px * self.settings.pixel_nm - 2 * self.ambit
-        if span <= 0:
-            raise ValueError("max_tile_px too small for the ambit")
-        return span
-
-    def plan_tiles(
-        self,
-        region: Rect,
-        condition: ProcessCondition = NOMINAL,
-        condition_fn=None,
-    ) -> List[TileSpec]:
-        """The tile decomposition of ``region`` as a picklable work-list.
-
-        Tile interiors partition ``region``; each tile's exposure condition
-        is resolved here (``condition_fn`` maps an interior Rect to its own
-        :class:`ProcessCondition` for across-chip dose/defocus maps), so the
-        specs carry no callables.
-        """
-        span = self.tile_span
-        nx = max(1, int(-(-region.width // span)))
-        ny = max(1, int(-(-region.height // span)))
-        specs: List[TileSpec] = []
-        for j in range(ny):
-            for i in range(nx):
-                interior = Rect(
-                    region.x0 + i * span,
-                    region.y0 + j * span,
-                    min(region.x0 + (i + 1) * span, region.x1),
-                    min(region.y0 + (j + 1) * span, region.y1),
-                )
-                if interior.width == 0 or interior.height == 0:
-                    continue
-                tile_condition = condition_fn(interior) if condition_fn else condition
-                specs.append(TileSpec(interior=interior, condition=tile_condition))
-        return specs
-
-    def tile_workload(
-        self,
-        polygons: Sequence[Polygon],
-        region: Rect,
-        condition: ProcessCondition = NOMINAL,
-        condition_fn=None,
-    ) -> List[Tuple[TileSpec, List[Polygon]]]:
-        """Tile specs paired with the geometry each tile needs.
-
-        Each tile gets every polygon whose bbox touches its ambit-expanded
-        window — a self-contained, picklable unit of work for a parallel
-        executor.
-        """
-        specs = self.plan_tiles(region, condition, condition_fn)
-        index = GridIndex(cell_size=max(self.tile_span, 1000.0))
-        for poly in polygons:
-            index.insert(poly.bbox, poly)
-        return [
-            (spec, index.query(spec.interior.expanded(self.ambit), strict=False))
-            for spec in specs
-        ]
-
-    def simulate_tile(self, spec: TileSpec, polygons: Sequence[Polygon]) -> TileResult:
-        """Image one planned tile (the work a parallel worker performs)."""
-        latent = self.latent_image(polygons, spec.interior, spec.condition)
-        return TileResult(latent=latent, interior=spec.interior)
-
-    def iter_tiles(
-        self,
-        polygons: Sequence[Polygon],
-        region: Rect,
-        condition: ProcessCondition = NOMINAL,
-        condition_fn=None,
-    ) -> Iterator[TileResult]:
-        """Simulate ``region`` in tiles; yields latent images with interiors.
-
-        Tile interiors partition ``region``; the latent image of each tile
-        extends one ambit beyond its interior on every side.
-        """
-        for spec, local in self.tile_workload(polygons, region, condition, condition_fn):
-            yield self.simulate_tile(spec, local)
 
     # -- calibration --------------------------------------------------------------
 

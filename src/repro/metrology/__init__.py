@@ -5,12 +5,11 @@ from repro.metrology.gate_cd import (
     MetrologyTileTask,
     measure_gate_cds,
     measurement_fault,
-    measure_layout_gate_cds,
     measure_tile_chunk,
+    plan_metrology_shards,
     plan_metrology_tiles,
     quarantine_measurements,
 )
-from repro.metrology.shard import plan_metrology_shards
 from repro.metrology.sites import MetrologySite, select_sites
 from repro.metrology.statistics import CdStatistics, summarize_cds
 
@@ -19,7 +18,6 @@ __all__ = [
     "MetrologyTileTask",
     "measure_gate_cds",
     "measurement_fault",
-    "measure_layout_gate_cds",
     "measure_tile_chunk",
     "plan_metrology_tiles",
     "plan_metrology_shards",

@@ -5,13 +5,17 @@ transistor of every placed gate, cutlines across the printed poly image
 measure the local channel length.  Several slices along the gate width
 capture the non-rectangular printed shape (corner rounding, flare near the
 gate contact), feeding the non-rectangular-transistor model downstream.
+
+Full layouts are measured window by window: :func:`plan_metrology_tiles`
+and :func:`plan_metrology_shards` differ only in the window geometry
+(:mod:`repro.litho.tiling`) and share one task builder, and
+:func:`measure_tile_chunk` images and measures the planned windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
     Hashable,
@@ -27,7 +31,8 @@ import numpy as np
 from repro.geometry import Polygon, Rect
 from repro.litho.imaging import AerialImage
 from repro.litho.resist import NOMINAL, ProcessCondition
-from repro.litho.simulator import LithographySimulator, TileSpec
+from repro.litho.simulator import LithographySimulator
+from repro.litho.tiling import TileSpec, WindowGrid, plan_shard_grid, plan_tile_grid
 from repro.units import Dimensionless, Nanometers
 
 
@@ -231,12 +236,49 @@ def quarantine_measurements(
 
 @dataclass(frozen=True)
 class MetrologyTileTask:
-    """Self-contained metrology work for one tile (picklable)."""
+    """Self-contained metrology work for one window (picklable)."""
 
     spec: TileSpec
     polygons: Tuple[Polygon, ...]
     gate_rects: Tuple[Tuple[Hashable, Rect], ...]
     n_slices: int
+
+
+def _metrology_region(
+    simulator: LithographySimulator, gate_rects: Mapping[Hashable, Rect],
+) -> Rect:
+    """Default planning region: the gates' bounding box plus one pixel."""
+    return Rect.bounding(gate_rects.values()).expanded(
+        simulator.settings.pixel_nm)
+
+
+def _metrology_tasks(
+    simulator: LithographySimulator,
+    grid: WindowGrid,
+    mask_polygons: Sequence[Polygon],
+    gate_rects: Mapping[Hashable, Rect],
+    n_slices: int,
+) -> List[MetrologyTileTask]:
+    """One task per window that owns a gate center.
+
+    Each gate is measured in the window owning its center
+    (:meth:`WindowGrid.locate`: closed interiors, the lower window wins
+    on a shared edge), and that window carries every mask polygon within
+    one ambit, so each measurement has full proximity context.  Windows
+    with no gates produce no task and are never simulated.
+    """
+    polygons = list(mask_polygons)
+    return [
+        MetrologyTileTask(
+            spec=grid.spec(window),
+            polygons=tuple(polygons[k] for k in context),
+            gate_rects=tuple((key, gate_rects[key]) for key in keys),
+            n_slices=n_slices,
+        )
+        for window, keys, context in grid.assign(
+            ((key, rect.center) for key, rect in gate_rects.items()),
+            polygons, simulator.ambit)
+    ]
 
 
 def plan_metrology_tiles(
@@ -248,92 +290,59 @@ def plan_metrology_tiles(
     n_slices: int = 5,
     condition_fn: Optional[Callable[[Rect], ProcessCondition]] = None,
 ) -> List[MetrologyTileTask]:
-    """Extract the per-tile metrology work-list.
-
-    Each gate is assigned to the tile whose interior contains its center
-    (first tile wins on boundaries, matching the serial scan order), so
-    every measurement has a full ambit of real context.  Tiles with no
-    gates produce no task — they are never simulated.
-    """
+    """The per-tile metrology work-list (:func:`plan_tile_grid` windows)."""
+    if not gate_rects:
+        return []
     if region is None:
-        boxes = [r for r in gate_rects.values()]
-        if not boxes:
-            return []
-        region = Rect.bounding(boxes).expanded(simulator.settings.pixel_nm)
-    pending = dict(gate_rects)
-    tasks: List[MetrologyTileTask] = []
-    for spec, local_polys in simulator.tile_workload(
-        mask_polygons, region, condition, condition_fn=condition_fn
-    ):
-        local = {
-            key: rect
-            for key, rect in pending.items()
-            if spec.interior.contains_point(rect.center)
-        }
-        if not local:
-            continue
-        for key in local:
-            del pending[key]
-        tasks.append(MetrologyTileTask(
-            spec=spec,
-            polygons=tuple(local_polys),
-            gate_rects=tuple(local.items()),
-            n_slices=n_slices,
-        ))
-    return tasks
+        region = _metrology_region(simulator, gate_rects)
+    grid = plan_tile_grid(simulator, region, condition, condition_fn)
+    return _metrology_tasks(simulator, grid, mask_polygons, gate_rects, n_slices)
+
+
+def plan_metrology_shards(
+    simulator: LithographySimulator,
+    mask_polygons: Sequence[Polygon],
+    gate_rects: Mapping[Hashable, Rect],
+    shards: int = 1,
+    condition: ProcessCondition = NOMINAL,
+    region: Optional[Rect] = None,
+    n_slices: int = 5,
+    condition_fn: Optional[Callable[[Rect], ProcessCondition]] = None,
+) -> List[MetrologyTileTask]:
+    """The per-shard metrology work-list (:func:`plan_shard_grid` windows).
+
+    Shard windows are larger and quantize to a different pixel grid than
+    tiles, so they measure slightly different CDs; the flow keys its
+    cache on the shard count.
+    """
+    if not gate_rects:
+        return []
+    if region is None:
+        region = _metrology_region(simulator, gate_rects)
+    grid = plan_shard_grid(simulator, region, shards, condition, condition_fn)
+    return _metrology_tasks(simulator, grid, mask_polygons, gate_rects, n_slices)
 
 
 def measure_tile_chunk(
     payload: Tuple[LithographySimulator, Sequence[MetrologyTileTask]],
 ) -> List[Dict[Hashable, GateCdMeasurement]]:
-    """Chunk worker: measure a list of tiles with one simulator.
+    """Chunk worker: measure a list of windows with one simulator.
 
     ``payload`` is ``(simulator, [MetrologyTileTask, ...])``.  Module-level
     and fully picklable so process-pool executors can dispatch it; each
-    worker builds its SOCS kernel cache on the first tile and reuses it
-    for the rest of the chunk.
+    worker builds its SOCS kernel cache on the first window and reuses it
+    for the rest of the chunk.  Windows are independent, so every
+    ``map_chunks`` backend returns bit-identical measurements.
     """
     simulator, tasks = payload
     results: List[Dict[Hashable, GateCdMeasurement]] = []
     for task in tasks:
-        tile = simulator.simulate_tile(task.spec, list(task.polygons))
+        latent = simulator.latent_image(
+            list(task.polygons), task.spec.interior, task.spec.condition)
         results.append(measure_gate_cds(
-            tile.latent,
+            latent,
             simulator.resist.threshold,
             dict(task.gate_rects),
             n_slices=task.n_slices,
         ))
-    return results
-
-
-def measure_layout_gate_cds(
-    simulator: LithographySimulator,
-    mask_polygons: Sequence[Polygon],
-    gate_rects: Mapping[Hashable, Rect],
-    condition: ProcessCondition = NOMINAL,
-    region: Optional[Rect] = None,
-    n_slices: int = 5,
-    condition_fn: Optional[Callable[[Rect], ProcessCondition]] = None,
-    executor: Optional[Any] = None,
-) -> Dict[Hashable, GateCdMeasurement]:
-    """Full-layout gate metrology via tiled simulation.
-
-    An optional ``condition_fn`` gives each tile its own exposure
-    condition (ACLV).  ``executor`` is any object with the
-    ``map_chunks(worker, shared, tasks)`` protocol of
-    ``repro.flow.parallel.ParallelExecutor`` (duck-typed — this layer
-    never imports the flow); ``None`` runs serially.  Tiles are
-    independent, so every backend returns bit-identical measurements.
-    """
-    tasks = plan_metrology_tiles(
-        simulator, mask_polygons, gate_rects, condition, region, n_slices,
-        condition_fn=condition_fn,
-    )
-    if executor is None:
-        tile_results = measure_tile_chunk((simulator, tasks))
-    else:
-        tile_results = executor.map_chunks(measure_tile_chunk, simulator, tasks)
-    results: Dict[Hashable, GateCdMeasurement] = {}
-    for measured in tile_results:
-        results.update(measured)
     return results

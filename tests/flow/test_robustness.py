@@ -17,6 +17,7 @@ from repro.flow import (
     StageError,
 )
 from repro.geometry import Rect
+from repro.litho import LithographySimulator
 from repro.metrology.gate_cd import (
     GateCdMeasurement,
     measurement_fault,
@@ -114,6 +115,33 @@ class TestPreflight:
                 flow.run(FlowConfig(opc_mode="none", clock_period_ps=400))
         finally:
             flow.simulator.max_tile_px = 512
+
+    @pytest.mark.parametrize("opc_mode", ["none", "rule", "model", "selective"])
+    def test_tile_window_too_small_for_ambit(self, tech, lib, opc_mode):
+        # metrology plans tiles in every OPC mode, so a tile that cannot
+        # hold two ambits is rejected before any stage runs
+        sim = LithographySimulator.for_tech(tech, ambit=3000.0, max_tile_px=64)
+        flow = PostOpcTimingFlow(inverter_chain(2), tech, cells=lib, simulator=sim)
+        with pytest.raises(InputValidationError, match="max_tile_px"):
+            flow.run(FlowConfig(opc_mode=opc_mode, clock_period_ps=400))
+
+    def test_sharded_run_skips_tile_check_without_model_opc(self, tech, lib):
+        # a sharded rule-OPC run plans no tiles; a model-OPC run still does
+        sim = LithographySimulator.for_tech(tech, ambit=3000.0, max_tile_px=64)
+        flow = PostOpcTimingFlow(inverter_chain(2), tech, cells=lib, simulator=sim)
+        flow.preflight(FlowConfig(opc_mode="rule", litho_shards=2))
+        with pytest.raises(InputValidationError, match="max_tile_px"):
+            flow.preflight(FlowConfig(opc_mode="model", litho_shards=2))
+
+    @pytest.mark.parametrize("opc_mode", ["none", "rule"])
+    def test_shard_window_too_small_for_ambit(self, tech, lib, opc_mode):
+        # tiles of 2048 px fit a 5000 nm ambit; 1024 px shard windows do not
+        sim = LithographySimulator.for_tech(tech, ambit=5000.0, max_tile_px=2048)
+        flow = PostOpcTimingFlow(inverter_chain(2), tech, cells=lib, simulator=sim)
+        flow.preflight(FlowConfig(opc_mode=opc_mode))
+        with pytest.raises(InputValidationError, match="litho_shards"):
+            flow.run(FlowConfig(opc_mode=opc_mode, clock_period_ps=400,
+                                litho_shards=2))
 
     def test_bad_config_fields_named(self):
         with pytest.raises(InputValidationError, match="opc_mode"):

@@ -1,19 +1,18 @@
-"""Scale-aware litho sharding: grid partition, planning, stitching,
-and serial-vs-parallel bit-identity."""
+"""Simulation window grids: shard partition, closed lower-wins ownership
+for both geometries, shard planning, and serial-vs-parallel
+bit-identity."""
 
 import pytest
 
 from repro.cells import build_library
 from repro.circuits import inverter_chain
 from repro.flow import ParallelExecutor
-from repro.geometry import Rect
+from repro.geometry import Point, Rect
 from repro.litho import (
     DEFAULT_MAX_SHARD_PX,
     LithographySimulator,
-    plan_shard_contours,
     plan_shard_grid,
-    shard_contour_chunk,
-    stitched_printed_contours,
+    plan_tile_grid,
 )
 from repro.litho.resist import NOMINAL, ProcessCondition
 from repro.metrology import plan_metrology_shards
@@ -105,12 +104,58 @@ class TestShardGrid:
         assert len(marks) == grid.count
         assert all(c.dose == 1.01 for c in grid.conditions)
 
-    def test_bad_inputs(self, sim):
+    def test_bad_inputs(self, sim, tech):
         with pytest.raises(ValueError):
             plan_shard_grid(sim, Rect(0, 0, 100, 100), shards=0)
-        with pytest.raises(ValueError):
-            # window too small to hold two ambit halos
-            plan_shard_grid(sim, Rect(0, 0, 100, 100), max_shard_px=10)
+        # a DEFAULT_MAX_SHARD_PX window too small to hold two ambit halos
+        wide = LithographySimulator.for_tech(
+            tech, ambit=DEFAULT_MAX_SHARD_PX * tech.litho.pixel_nm / 2)
+        with pytest.raises(ValueError, match="cannot fit"):
+            plan_shard_grid(wide, Rect(0, 0, 100, 100), shards=1)
+
+
+def _probe_points(grid):
+    """Every edge crossing, corner and edge midpoint of the grid, plus the
+    window centers and points just outside the region."""
+    def axis(edges):
+        mids = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+        return list(edges) + mids + [edges[0] - 7.0, edges[-1] + 7.0]
+    return [(x, y) for x in axis(grid.xs) for y in axis(grid.ys)]
+
+
+class TestWindowOwnership:
+    """``locate`` is the lowest-index window whose closed interior holds
+    the point, for both window geometries."""
+
+    @pytest.fixture(params=["tile", "shard"])
+    def grid(self, request, sim):
+        region = Rect(-1000.0, 500.0, 6321.5, 4000.25)
+        if request.param == "tile":
+            grid = plan_tile_grid(sim, region)
+        else:
+            grid = plan_shard_grid(sim, region, shards=6)
+        assert grid.nx > 1 and grid.ny > 1
+        return grid
+
+    def test_locate_agrees_with_closed_interiors(self, grid):
+        region = Rect(grid.xs[0], grid.ys[0], grid.xs[-1], grid.ys[-1])
+        for x, y in _probe_points(grid):
+            point = Point(x, y)
+            owner = grid.locate(x, y)
+            holders = [w for w in range(grid.count)
+                       if grid.interior(w).contains_point(point)]
+            if region.contains_point(point):
+                assert holders and owner == holders[0], (x, y)
+                assert grid.interior(owner).contains_point(point)
+            else:
+                # outside the region: clamped to an edge window
+                assert not holders and 0 <= owner < grid.count
+
+    def test_shared_edge_goes_to_lower_window(self, grid):
+        x, y = grid.xs[1], grid.ys[1]
+        assert grid.locate(x, y) == 0
+        assert grid.locate(x + 1e-6, y) == 1
+        assert grid.locate(x, y + 1e-6) == grid.nx
 
 
 class TestShardPlanning:
@@ -131,14 +176,6 @@ class TestShardPlanning:
                                       region=region)
         grid = plan_shard_grid(sim, region, shards=2)
         assert len(tasks) < grid.count
-
-    def test_contour_tasks_skip_empty_windows(self, sim, placed_chain):
-        polys, _ = placed_chain
-        region = Rect(0, 0, 40000, 40000)
-        grid = plan_shard_grid(sim, region, shards=2)
-        tasks = plan_shard_contours(sim, polys, grid)
-        assert 0 < len(tasks) < grid.count
-        assert all(task.polygons for task in tasks)
 
 
 class TestShardMeasurement:
@@ -164,44 +201,3 @@ class TestShardMeasurement:
             p = flat_parallel[key]
             assert m.slice_cds == p.slice_cds  # exact, not approx
             assert m.slice_positions == p.slice_positions
-
-
-class TestStitchedContours:
-    def test_stitch_is_exactly_once(self, sim, placed_chain):
-        polys, rects = placed_chain
-        region = Rect.bounding([r for r in rects.values()]).expanded(500)
-        one = stitched_printed_contours(sim, polys, region, shards=1)
-        many = stitched_printed_contours(sim, polys, region, shards=4)
-        # same printed features either way: contour count is stable and
-        # each feature's bbox center belongs to exactly one shard
-        assert len(one) == len(many)
-        centers = sorted((round(c.bbox.center.x, 3), round(c.bbox.center.y, 3))
-                         for c in many)
-        assert len(set(centers)) == len(centers)
-
-    def test_worker_keeps_owned_or_boundary_band(self, sim, placed_chain):
-        polys, rects = placed_chain
-        region = Rect.bounding([r for r in rects.values()]).expanded(500)
-        grid = plan_shard_grid(sim, region, shards=4)
-        tasks = plan_shard_contours(sim, polys, grid)
-        tol = sim.settings.pixel_nm
-        for task, kept in zip(tasks, shard_contour_chunk((sim, tasks))):
-            band = grid.interior(task.index).expanded(tol)
-            for contour in kept:
-                center = contour.bbox.center
-                assert (grid.locate(center.x, center.y) == task.index
-                        or band.contains_point(center))
-
-    def test_boundary_straddler_kept_once(self, sim, placed_chain):
-        # the 6-inverter chain has a gate whose printed center lands within
-        # a pixel of the 4-shard boundary: the regression this guards is
-        # that feature arriving twice (both windows claim it) or never
-        # (each window defers to the other).
-        polys, rects = placed_chain
-        region = Rect.bounding([r for r in rects.values()]).expanded(500)
-        many = stitched_printed_contours(sim, polys, region, shards=4)
-        for rect in rects.values():
-            # a poly contour covers the whole strip (both transistors of
-            # the inverter): the one containing this gate's center
-            owners = [c for c in many if c.bbox.contains_point(rect.center)]
-            assert len(owners) == 1, rect

@@ -7,6 +7,7 @@ from repro.geometry import Point, Polygon, Rect
 from repro.litho import LithographySimulator
 from repro.litho.resist import ProcessCondition
 from repro.litho.simulator import cd_through_pitch, measure_cd_on_cutline
+from repro.litho.tiling import plan_tile_grid
 from repro.pdk import make_tech_90nm
 
 
@@ -99,8 +100,8 @@ class TestContoursAndTiles:
 
     def test_tiles_cover_region(self, sim):
         region = Rect(0, 0, 3000, 2000)
-        tiles = list(sim.iter_tiles([], region))
-        total = sum(t.interior.area for t in tiles)
+        grid = plan_tile_grid(sim, region)
+        total = sum(grid.interior(i).area for i in range(grid.count))
         assert total == pytest.approx(region.area)
 
     def test_tiled_matches_untiled_cd(self, sim, tech):
@@ -114,16 +115,13 @@ class TestContoursAndTiles:
         cd_ref = measure_cd_on_cutline(reference, sim.resist.threshold, -160, 160, 0.0)
         small = LithographySimulator.for_tech(tech, max_tile_px=384)
         small.resist = sim.resist
-        cds = []
-        for tile in small.iter_tiles(lines, region):
-            if tile.interior.contains_point(Point(0, 0)):
-                cds.append(
-                    measure_cd_on_cutline(tile.latent, sim.resist.threshold, -160, 160, 0.0)
-                )
-        assert cds
-        assert cds[0] == pytest.approx(cd_ref, abs=2.5)
+        grid = plan_tile_grid(small, region)
+        spec = grid.spec(grid.locate(0.0, 0.0))
+        tile = small.latent_image(lines, spec.interior, spec.condition)
+        cd = measure_cd_on_cutline(tile, sim.resist.threshold, -160, 160, 0.0)
+        assert cd == pytest.approx(cd_ref, abs=2.5)
 
     def test_ambit_too_big_rejected(self, tech):
         sim = LithographySimulator.for_tech(tech, ambit=3000, max_tile_px=64)
         with pytest.raises(ValueError):
-            list(sim.iter_tiles([], Rect(0, 0, 100, 100)))
+            plan_tile_grid(sim, Rect(0, 0, 100, 100))

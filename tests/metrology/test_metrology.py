@@ -9,7 +9,8 @@ from repro.geometry import Rect
 from repro.litho import AerialImage, LithographySimulator
 from repro.metrology import (
     measure_gate_cds,
-    measure_layout_gate_cds,
+    measure_tile_chunk,
+    plan_metrology_tiles,
     select_sites,
     summarize_cds,
 )
@@ -126,13 +127,18 @@ class TestLayoutMetrology:
         layout = assemble_layout(netlist, lib, placement)
         polys = layout.flat_polygons(TOP_CELL, Layers.POLY)
         rects = instance_gate_rects(netlist, lib, placement)
-        results = measure_layout_gate_cds(sim, polys, rects)
+        tasks = plan_metrology_tiles(sim, polys, rects)
+        results = {}
+        for measured in measure_tile_chunk((sim, tasks)):
+            results.update(measured)
         assert set(results) == set(rects)
         for m in results.values():
             assert m.printed
 
     def test_empty_input(self, sim):
-        assert measure_layout_gate_cds(sim, [], {}) == {}
+        tasks = plan_metrology_tiles(sim, [], {})
+        assert tasks == []
+        assert measure_tile_chunk((sim, tasks)) == []
 
 
 class TestStatistics:
