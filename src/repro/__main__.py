@@ -57,7 +57,8 @@ def _make_design(name: str, library, design_size=None):
 
 
 def _make_flow_engine(args):
-    """Shared flow/sweep setup: context (persistent if asked) + executor.
+    """Shared flow/sweep/serve setup: context (persistent if asked) +
+    executor.
 
     A ``--run-dir`` without an explicit ``--cache-dir`` keeps the
     artifact cache inside the run directory, so the journal and the
@@ -66,7 +67,7 @@ def _make_flow_engine(args):
     from repro.flow import FlowContext, ParallelExecutor, RunJournal
 
     max_bytes = None
-    if getattr(args, "cache_size_mb", None):
+    if args.cache_size_mb:
         max_bytes = int(args.cache_size_mb * 1e6)
     cache_dir = args.cache_dir
     if cache_dir is None and getattr(args, "run_dir", None):
@@ -78,33 +79,30 @@ def _make_flow_engine(args):
     return context, executor
 
 
-def _open_journal(args, flow, config, command):
-    """Create (or resume) the run journal for a ``--run-dir`` invocation."""
-    from repro.flow import InputValidationError, RunJournal, stable_hash
+def cmd_run(args) -> int:
+    """``flow`` and ``sweep``: one run of ``args.op``, journaled when
+    ``--run-dir`` is given."""
+    import json
 
-    if not getattr(args, "run_dir", None):
-        if getattr(args, "resume", False):
-            raise InputValidationError("resume", "--resume requires --run-dir")
-        return None
-    manifest = {
-        "command": command,
-        "design": args.design,
-        "fingerprint": flow.fingerprint,
-        "config_hash": stable_hash(config),
-    }
-    if args.resume:
-        return RunJournal.resume(args.run_dir, manifest)
-    return RunJournal.create(args.run_dir, manifest)
-
-
-def cmd_flow(args) -> int:
     from repro.flow import (
         FlowConfig,
         FlowInterrupted,
+        FlowReport,
+        InputValidationError,
         InterruptGuard,
         PostOpcTimingFlow,
+        RunJournal,
+    )
+    from repro.flow.driver import (
+        failure,
+        finish_failed,
+        run_manifest,
+        run_op,
+        summarize,
     )
 
+    if args.resume and not args.run_dir:
+        raise InputValidationError("resume", "--resume requires --run-dir")
     tech = make_tech_90nm()
     library = build_library(tech)
     netlist = _make_design(args.design, library, args.design_size)
@@ -113,89 +111,50 @@ def cmd_flow(args) -> int:
                              executor=executor, context=context)
     # clock_period_ps=None derives the period from the flow's own drawn-STA
     # stage (one STA, served from the artifact cache — not a warm-up run).
+    # A sweep overrides opc_mode per mode; its parser defaults --opc to none.
     config = FlowConfig(opc_mode=args.opc, clock_period_ps=args.period,
                         n_critical_paths=args.paths,
                         max_quarantine_fraction=args.max_quarantine_fraction,
                         litho_shards=args.litho_shards)
-    journal = _open_journal(args, flow, config, "flow")
+    journal = None
+    if args.run_dir:
+        opener = RunJournal.resume if args.resume else RunJournal.create
+        journal = opener(args.run_dir,
+                         run_manifest(args.design, args.op, flow, config))
     try:
         with InterruptGuard() as guard:
-            report = flow.run(config, journal=journal, interrupt=guard)
+            result = run_op(flow, args.op, config, journal=journal,
+                            interrupt=guard)
+    except FlowInterrupted:
+        if journal is not None:
+            journal.close()  # the flow journaled the interruption
+        raise
     except Exception as exc:
         if journal is not None:
-            if not isinstance(exc, FlowInterrupted):
-                journal.record_failed(exc)  # interruption already journaled
-            journal.close()
+            finish_failed(journal, *failure(exc))
         raise
-    print(report.summary())
+    if isinstance(result, FlowReport):
+        print(result.summary())
+    else:
+        print(result.table())
+        print(f"context: {result.cache_summary()}")
     if journal is not None:
-        journal.record_complete(
-            wns_drawn=report.wns_drawn,
-            wns_post=report.wns_post,
-            coverage=report.coverage,
-            quarantined_gates=len(report.quarantined_gates),
-            cached_stages=report.trace.cache_hits,
-        )
-        journal.close()
+        summary = summarize(result)
+        journal.finish("complete", **summary)
         print(f"journal: {journal.path} "
-              f"({report.trace.cache_hits} stages replayed from cache)")
-    if args.cache_dir:
-        print(f"cache: {context.summary()}")
-    if args.trace:
-        report.trace.write_json(args.trace)
-        print(f"wrote trace {args.trace}")
-    if args.gds:
-        from repro.flow import export_flow_gds
+              f"({summary['cache_hits']} stages replayed from cache)")
+    if isinstance(result, FlowReport):
+        if args.cache_dir:
+            print(f"cache: {context.summary()}")
+        if args.trace:
+            result.trace.write_json(args.trace)
+            print(f"wrote trace {args.trace}")
+        if args.gds:
+            from repro.flow import export_flow_gds
 
-        export_flow_gds(flow, report, args.gds)
-        print(f"wrote {args.gds}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    from repro.flow import (
-        FlowConfig,
-        FlowInterrupted,
-        FlowSweep,
-        InterruptGuard,
-        PostOpcTimingFlow,
-    )
-
-    tech = make_tech_90nm()
-    library = build_library(tech)
-    netlist = _make_design(args.design, library, args.design_size)
-    context, executor = _make_flow_engine(args)
-    flow = PostOpcTimingFlow(netlist, tech, cells=library,
-                             executor=executor, context=context)
-    base = FlowConfig(
-        opc_mode="none", clock_period_ps=args.period,
-        n_critical_paths=args.paths,
-        max_quarantine_fraction=args.max_quarantine_fraction,
-        litho_shards=args.litho_shards,
-    )
-    journal = _open_journal(args, flow, base, "sweep")
-    try:
-        with InterruptGuard() as guard:
-            result = FlowSweep(flow).run(base, journal=journal,
-                                         interrupt=guard)
-    except Exception as exc:
-        if journal is not None:
-            if not isinstance(exc, FlowInterrupted):
-                journal.record_failed(exc)
-            journal.close()
-        raise
-    print(result.table())
-    print(f"context: {result.cache_summary()}")
-    if journal is not None:
-        journal.record_complete(
-            modes_ok=sorted(result.reports),
-            modes_failed=sorted(result.failures),
-        )
-        journal.close()
-        print(f"journal: {journal.path}")
-    if args.trace:
-        import json
-
+            export_flow_gds(flow, result, args.gds)
+            print(f"wrote {args.gds}")
+    elif args.trace:
         payload = {mode: report.trace.as_dict()
                    for mode, report in result.reports.items()}
         payload["context"] = flow.context.stats()
@@ -204,21 +163,13 @@ def cmd_sweep(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote trace {args.trace}")
-    # Partial failure is still a usable sweep; only a sweep with zero
-    # surviving modes counts as failed.
-    return 1 if (result.failures and not result.reports) else 0
+    return 0
 
 
 def cmd_serve(args) -> int:
     import asyncio
 
-    from repro.flow import (
-        FlowContext,
-        FlowService,
-        InputValidationError,
-        ParallelExecutor,
-        PostOpcTimingFlow,
-    )
+    from repro.flow import FlowService, InputValidationError, PostOpcTimingFlow
 
     if not args.socket and not args.tcp:
         raise InputValidationError(
@@ -226,12 +177,8 @@ def cmd_serve(args) -> int:
         )
     tech = make_tech_90nm()
     library = build_library(tech)
-    max_bytes = int(args.cache_size_mb * 1e6) if args.cache_size_mb else None
     # One shared context: every job of every design dedups against it.
-    context = FlowContext(cache_dir=args.cache_dir, max_disk_bytes=max_bytes)
-    executor = ParallelExecutor.from_jobs(
-        args.jobs, retries=args.retries, chunk_timeout=args.chunk_timeout
-    )
+    context, executor = _make_flow_engine(args)
     flows = {
         name: PostOpcTimingFlow(_make_design(name, library), tech,
                                 cells=library, executor=executor,
@@ -374,8 +321,15 @@ def cmd_lint(args) -> int:
     )
 
 
-def _add_scale_args(sub) -> None:
-    """Large-vehicle knobs shared by flow/sweep."""
+def _add_run_args(sub, op: str) -> None:
+    """Everything ``flow`` and ``sweep`` share: design, timing and scale
+    knobs plus the run directory.  Exit codes: 0 ok, 1 stage failure (or
+    a sweep with no surviving mode), 2 interrupted (SIGINT/SIGTERM), 3
+    input validation, 4 quarantine threshold exceeded."""
+    sub.add_argument("--design", default="c17", choices=sorted(DESIGNS))
+    sub.add_argument("--period", type=float, default=None,
+                     help="clock period (ps); default derives it from the drawn STA")
+    sub.add_argument("--paths", type=int, default=5)
     sub.add_argument("--design-size", type=int, default=None, metavar="GATES",
                      help="ignore --design and run a deterministic "
                           "structured-ASIC vehicle with exactly this many "
@@ -386,12 +340,6 @@ def _add_scale_args(sub) -> None:
                           "(0 = classic tile path); results are "
                           "bit-identical between serial and parallel "
                           "execution of the same shard plan")
-
-
-def _add_durability_args(sub) -> None:
-    """Persistent-cache, journal and fault-tolerance knobs shared by
-    flow/sweep.  Exit codes: 0 ok, 2 interrupted (SIGINT/SIGTERM), 3
-    input validation, 4 quarantine threshold exceeded."""
     sub.add_argument("--run-dir", default=None,
                      help="run directory: append-only journal.jsonl plus the "
                           "artifact cache (unless --cache-dir overrides it)")
@@ -401,6 +349,14 @@ def _add_durability_args(sub) -> None:
     sub.add_argument("--max-quarantine-fraction", type=float, default=0.5,
                      help="abort (exit 4) when more than this fraction of "
                           "gates fell back to drawn CDs (default 0.5)")
+    _add_engine_args(sub)
+    sub.set_defaults(func=cmd_run, op=op)
+
+
+def _add_engine_args(sub) -> None:
+    """Executor and persistent-cache knobs shared by flow/sweep/serve."""
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="parallel workers for the OPC/metrology tile loops")
     sub.add_argument("--cache-dir", default=None,
                      help="persist flow artifacts here; later runs (or other "
                           "processes) serve them as disk hits")
@@ -420,34 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flow = sub.add_parser("flow", help="run the post-OPC timing flow")
-    flow.add_argument("--design", default="c17", choices=sorted(DESIGNS))
+    _add_run_args(flow, "flow")
     flow.add_argument("--opc", default="rule",
                       choices=["none", "rule", "model", "selective"])
-    flow.add_argument("--period", type=float, default=None,
-                      help="clock period (ps); default derives it from the drawn STA")
-    flow.add_argument("--paths", type=int, default=5)
-    flow.add_argument("--jobs", type=int, default=1,
-                      help="parallel workers for the OPC/metrology tile loops")
-    _add_scale_args(flow)
-    _add_durability_args(flow)
     flow.add_argument("--trace", default=None,
                       help="write the per-stage trace (wall time, cache, counters) as JSON")
     flow.add_argument("--gds", default=None, help="also export layers to this GDS file")
-    flow.set_defaults(func=cmd_flow)
 
     sweep = sub.add_parser(
         "sweep", help="run all OPC modes through one shared flow context"
     )
-    sweep.add_argument("--design", default="c17", choices=sorted(DESIGNS))
-    sweep.add_argument("--period", type=float, default=None,
-                       help="clock period (ps); default derives it from the drawn STA")
-    sweep.add_argument("--paths", type=int, default=5)
-    sweep.add_argument("--jobs", type=int, default=1)
-    _add_scale_args(sweep)
-    _add_durability_args(sweep)
+    _add_run_args(sweep, "sweep")
     sweep.add_argument("--trace", default=None,
                        help="write per-mode traces + context stats as JSON")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(opc="none")
 
     serve = sub.add_parser(
         "serve",
@@ -468,16 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--run-root", default=None, metavar="DIR",
                        help="give every job a journaled run directory "
                             "DIR/<job-id>/")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for each job's tile loops")
-    serve.add_argument("--cache-dir", default=None,
-                       help="persist the shared artifact cache here")
-    serve.add_argument("--cache-size-mb", type=float, default=None,
-                       help="cap the cache directory, evicting LRU entries")
-    serve.add_argument("--retries", type=int, default=1,
-                       help="retry a failed worker chunk this many times")
-    serve.add_argument("--chunk-timeout", type=float, default=None,
-                       help="seconds before a worker chunk counts as failed")
+    _add_engine_args(serve)
     serve.add_argument("--deadline", type=float, default=None, metavar="S",
                        help="default per-job wall budget; past it the "
                             "watchdog fails the job with exit code 2 "

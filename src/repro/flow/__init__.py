@@ -6,7 +6,8 @@ tile-parallel inner loops dispatched by :mod:`repro.flow.parallel` and
 per-stage observability in :mod:`repro.flow.trace`.  Run durability —
 the append-only run journal, resume, and graceful interruption — lives
 in :mod:`repro.flow.journal`, with the structured failure taxonomy in
-:mod:`repro.flow.errors`.  :class:`PostOpcTimingFlow` assembles the
+:mod:`repro.flow.errors`; :mod:`repro.flow.driver` opens, runs and
+settles a journaled flow or sweep for both the CLI and the service.  :class:`PostOpcTimingFlow` assembles the
 default graph; :class:`FlowSweep` runs many OPC modes against one shared
 context.
 

@@ -2,9 +2,11 @@
 
 A :class:`RunJournal` lives in a *run directory* (``--run-dir``) and
 records the run as an append-only ``journal.jsonl``: a ``manifest`` line
-(run id, flow fingerprint, config hash), one ``stage`` line per settled
+(run id, op, flow fingerprint, config hash — see
+:func:`~repro.flow.driver.run_manifest`), one ``stage`` line per settled
 stage (artifact key, wall time, cache tier, counters), per-mode lines for
-sweeps, and a terminal ``complete`` / ``interrupted`` / ``failed`` line.
+sweeps, and an ``interrupted`` line or a terminal ``complete`` /
+``failed`` one (written by :meth:`RunJournal.finish`).
 Every line is flushed and fsynced, so even a SIGKILLed process leaves a
 consistent prefix on disk; a torn final line (the process died mid-write)
 is tolerated on read.  :meth:`RunJournal.close` is final: a later append
@@ -12,7 +14,7 @@ raises :class:`JournalClosedError`, so a run abandoned on a worker thread
 cannot write past the record that settled it.
 
 Resume (``--resume``) replays the journal: the manifest is checked
-against the current flow fingerprint and config hash (a mismatched resume
+against the current op, flow fingerprint and config hash (a mismatched resume
 is an :class:`~repro.flow.errors.InputValidationError`, not a silently
 wrong run), and the run directory's artifact cache serves every journaled
 stage, so only post-interrupt work is computed.
@@ -60,7 +62,7 @@ class RunJournal:
     """Append-only journal of one (possibly multi-session) run.
 
     Open with :meth:`create` for a fresh run directory or :meth:`resume`
-    to continue an interrupted one; ``cache_subdir`` names the artifact
+    to continue an interrupted one; ``CACHE_SUBDIR`` names the artifact
     cache that makes the replay cheap.
     """
 
@@ -107,12 +109,8 @@ class RunJournal:
     @classmethod
     def resume(cls, run_dir: str, manifest: Dict[str, Any],
                fault_plan: Optional["FaultPlan"] = None) -> "RunJournal":
-        """Reopen an interrupted run, verifying it is the *same* run.
-
-        The journaled fingerprint and config hash must match the current
-        invocation — resuming with a different design or config would
-        serve artifacts that do not belong to it.
-        """
+        """Reopen an interrupted run, verifying it is the *same* run
+        (:meth:`check_manifest`)."""
         journal = cls(run_dir, fault_plan=fault_plan)
         if not journal.exists():
             raise InputValidationError(
@@ -123,24 +121,34 @@ class RunJournal:
             raise InputValidationError(
                 "run_dir", f"{journal.path} has no readable manifest record"
             )
-        for field in ("fingerprint", "config_hash"):
+        cls.check_manifest(recorded, manifest)
+        journal.append("resumed", run_id=recorded.get("run_id"))
+        return journal
+
+    @staticmethod
+    def check_manifest(recorded: Dict[str, Any],
+                       manifest: Dict[str, Any]) -> None:
+        """Raise :class:`InputValidationError` unless ``recorded`` is the
+        manifest of the run ``manifest`` describes.
+
+        The op, fingerprint and config hash must match — resuming a flow
+        as a sweep, or with a different design or config, would serve
+        artifacts that do not belong to it.  A field either side lacks
+        is not compared (journals written before ``op`` was recorded
+        still resume).
+        """
+        for field in ("op", "fingerprint", "config_hash"):
             want, got = manifest.get(field), recorded.get(field)
             if want is not None and got is not None and want != got:
                 raise InputValidationError(
                     "run_dir",
                     f"journal {field} {got} does not match this invocation "
-                    f"({want}); --resume must replay the same design+config",
+                    f"({want}); --resume must replay the same "
+                    "op+design+config",
                 )
-        journal.append("resumed", run_id=recorded.get("run_id"))
-        return journal
 
     def exists(self) -> bool:
         return os.path.exists(self.path) and os.path.getsize(self.path) > 0
-
-    @property
-    def cache_dir(self) -> str:
-        """The run directory's artifact cache (what makes resume cheap)."""
-        return os.path.join(self.run_dir, self.CACHE_SUBDIR)
 
     def close(self) -> None:
         """Close for good: every later append raises
@@ -153,12 +161,6 @@ class RunJournal:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # -- writing -------------------------------------------------------------
 
@@ -231,12 +233,6 @@ class RunJournal:
     def record_interrupted(self, signal_name: str,
                            next_stage: Optional[str] = None) -> None:
         self.append("interrupted", signal=signal_name, next_stage=next_stage)
-
-    def record_complete(self, **summary: Any) -> None:
-        self.append("complete", **summary)
-
-    def record_failed(self, error: BaseException) -> None:
-        self.append("failed", error=f"{type(error).__name__}: {error}")
 
     # -- reading -------------------------------------------------------------
 

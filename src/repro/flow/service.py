@@ -38,8 +38,8 @@ code, and the service survives ``kill -9`` with no lost work:
   failure re-opens it.
 * **Orphan recovery.**  :meth:`start` scans ``run_root`` for journals
   with no terminal record (the previous process died mid-job) and
-  re-enqueues them through the fingerprint + config-hash validated
-  resume path; pre-crash stages replay from the shared artifact cache.
+  re-enqueues them through the same manifest check as ``--resume``;
+  pre-crash stages replay from the shared artifact cache.
 * **Bounded stop.**  :meth:`stop` drains for at most ``drain_timeout``,
   then cancels stuck jobs (reason ``stopped``) and finally the workers
   themselves — it never gathers forever.
@@ -66,30 +66,26 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.flow.chaos import FaultPlan
-from repro.flow.context import FlowContext, stable_hash
+from repro.flow.context import FlowContext
+from repro.flow.driver import (
+    _WIRE_CONFIG_FIELDS,
+    RUN_OPS,
+    failure,
+    finish_failed,
+    run_manifest,
+    run_op,
+    summarize,
+)
 from repro.flow.errors import (
     EXIT_FAILURE,
     EXIT_INTERRUPTED,
-    FlowError,
+    InputValidationError,
     ServiceRejectedError,
 )
 from repro.flow.journal import InterruptGuard, RunJournal
 from repro.flow.parallel import ParallelExecutor
 from repro.flow.postopc import FlowConfig, FlowReport, PostOpcTimingFlow
-from repro.flow.sweep import FlowSweep, SweepResult
-
-#: FlowConfig fields settable through the socket protocol (simple JSON
-#: scalars only — recipe/condition objects need the in-process API)
-_WIRE_CONFIG_FIELDS = (
-    "opc_mode",
-    "clock_period_ps",
-    "n_critical_paths",
-    "n_slices",
-    "use_routing",
-    "max_quarantine_fraction",
-    "litho_shards",
-    "deadline_s",
-)
+from repro.flow.sweep import SweepResult
 
 #: service job directories under ``run_root`` (the orphan-scan pattern)
 _JOB_DIR = re.compile(r"^job-(\d+)$")
@@ -172,7 +168,7 @@ class Job:
     state: str = "queued"  # queued | running | done | failed
     exit_code: Optional[int] = None
     error: str = ""
-    #: JSON-able digest filled when the job settles (see _summarize_*)
+    #: JSON-able digest filled when the job settles (driver.summarize)
     summary: Dict[str, Any] = field(default_factory=dict)
     #: the Python result object, for in-process callers
     result: Optional[Union[FlowReport, SweepResult]] = None
@@ -207,39 +203,6 @@ class Job:
         if self.resumed:
             payload["resumed"] = True
         return payload
-
-
-def _summarize_report(report: FlowReport) -> Dict[str, Any]:
-    trace = report.trace
-    return {
-        "opc_mode": report.opc_mode,
-        "wns_drawn": report.wns_drawn,
-        "wns_post": report.wns_post,
-        "leakage_drawn": report.leakage_drawn,
-        "leakage_post": report.leakage_post,
-        "coverage": report.coverage,
-        "quarantined_gates": len(report.quarantined_gates),
-        "stages": len(trace),
-        "cache_hits": trace.cache_hits,
-        "cache_misses": trace.cache_misses,
-        "deduped": trace.deduped,
-    }
-
-
-def _summarize_sweep(result: SweepResult) -> Dict[str, Any]:
-    modes = {
-        mode: _summarize_report(report)
-        for mode, report in result.reports.items()
-    }
-    return {
-        "modes": modes,
-        "failures": dict(result.failures),
-        "stages": sum(m["stages"] for m in modes.values()),
-        "cache_hits": sum(m["cache_hits"] for m in modes.values()),
-        "cache_misses": sum(m["cache_misses"] for m in modes.values()),
-        "deduped": sum(m["deduped"] for m in modes.values()),
-        "table": result.table(),
-    }
 
 
 class FlowService:
@@ -458,11 +421,11 @@ class FlowService:
     def _rebuild_orphan(self, job_id: str, probe: RunJournal) -> Job:
         """One orphan journal -> a queued (or failed) Job.
 
-        The manifest must round-trip: known design, wire-expressible
-        config, and fingerprint + config hash matching what *this*
-        process would compute — the same validation ``--resume`` applies,
-        so recovery can never replay artifacts that don't belong to the
-        current code or config.
+        The manifest must round-trip: known design and op,
+        wire-expressible config, and :meth:`RunJournal.check_manifest`
+        against the manifest *this* process would write — the check
+        ``--resume`` applies, so recovery can never replay artifacts that
+        don't belong to the current code or config.
         """
         manifest = probe.manifest() or {}
         design = str(manifest.get("design", ""))
@@ -474,7 +437,7 @@ class FlowService:
             return self._fail_orphan(
                 job, f"orphan not resumable: unknown design {design!r}"
             )
-        if job.op not in ("flow", "sweep"):
+        if job.op not in RUN_OPS:
             return self._fail_orphan(
                 job, f"orphan not resumable: unknown op {job.op!r}"
             )
@@ -485,16 +448,11 @@ class FlowService:
             )
         try:
             config = self._config_from_wire(dict(wire))
-        except ServiceRejectedError as exc:
+            RunJournal.check_manifest(
+                manifest, run_manifest(design, job.op, flow, config)
+            )
+        except (ServiceRejectedError, InputValidationError) as exc:
             return self._fail_orphan(job, f"orphan not resumable: {exc}")
-        if manifest.get("fingerprint") != flow.fingerprint:
-            return self._fail_orphan(
-                job, "orphan not resumable: flow fingerprint changed"
-            )
-        if manifest.get("config_hash") != stable_hash(config):
-            return self._fail_orphan(
-                job, "orphan not resumable: config hash mismatch"
-            )
         job.config = config
         job.deadline_s = config.deadline_s \
             if config.deadline_s is not None else self.deadline_s
@@ -508,11 +466,8 @@ class FlowService:
         job.error = message
         job.done_event.set()
         assert self.run_root is not None
-        try:
-            with RunJournal(os.path.join(self.run_root, job.id)) as journal:
-                journal.append("failed", error=message)
-        except OSError:
-            pass
+        finish_failed(RunJournal(os.path.join(self.run_root, job.id)),
+                      message, EXIT_FAILURE)
         return job
 
     # -- operations ----------------------------------------------------------
@@ -543,7 +498,7 @@ class FlowService:
             raise ServiceRejectedError(
                 "unknown-design", f"no design {design!r} (have: {known})"
             )
-        if op not in ("flow", "sweep"):
+        if op not in RUN_OPS:
             raise ServiceRejectedError(
                 "bad-config", f"op must be 'flow' or 'sweep', got {op!r}"
             )
@@ -674,26 +629,11 @@ class FlowService:
     def _open_journal(self, job: Job) -> Optional[RunJournal]:
         if self.run_root is None:
             return None
-        run_dir = os.path.join(self.run_root, job.id)
-        flow = self.flows[job.design]
-        manifest = {
-            "design": job.design,
-            "op": job.op,
-            "fingerprint": flow.fingerprint,
-            "config_hash": stable_hash(job.config),
-            # Wire-expressible config copy: what makes the journal
-            # self-describing enough for orphan recovery to rebuild and
-            # re-validate the job after a crash.
-            "config_wire": {
-                name: getattr(job.config, name)
-                for name in _WIRE_CONFIG_FIELDS
-            },
-        }
-        if job.resumed:
-            return RunJournal.resume(run_dir, manifest,
-                                     fault_plan=self.fault_plan)
-        return RunJournal.create(run_dir, manifest,
-                                 fault_plan=self.fault_plan)
+        manifest = run_manifest(job.design, job.op, self.flows[job.design],
+                                job.config)
+        opener = RunJournal.resume if job.resumed else RunJournal.create
+        return opener(os.path.join(self.run_root, job.id), manifest,
+                      fault_plan=self.fault_plan)
 
     def _beat(self, job: Job) -> None:
         """Journal-append heartbeat: the job's flow thread is alive."""
@@ -710,23 +650,18 @@ class FlowService:
             journal = await asyncio.to_thread(self._open_journal, job)
             if journal is not None:
                 journal.add_listener(lambda record: self._beat(job))
-            if job.op == "flow":
-                report = await asyncio.to_thread(
-                    flow.run, job.config, journal=journal, interrupt=stop
-                )
-                job.result = report
-                job.summary = _summarize_report(report)
-            else:
-                sweep_result = await asyncio.to_thread(
-                    FlowSweep(flow).run, job.config,
-                    journal=journal, interrupt=stop,
-                )
-                job.result = sweep_result
-                job.summary = _summarize_sweep(sweep_result)
+            result = await asyncio.to_thread(
+                run_op, flow, job.op, job.config,
+                journal=journal, interrupt=stop,
+            )
+            job.result = result
+            job.summary = summarize(result)
             job.state = "done"
             job.exit_code = 0
             if journal is not None:
-                journal.finish("complete", job_id=job.id)
+                # On the loop, like every terminal record: once the job
+                # is cancelled, its thread must find the journal closed.
+                journal.finish("complete", **job.summary)
         except asyncio.CancelledError:
             # Watchdog (deadline / hung stage) or bounded stop.  The
             # deadline contract reuses the interrupted exit code: the run
@@ -750,27 +685,19 @@ class FlowService:
             else:
                 job.error = "service stopped before the job finished"
             if journal is not None:
-                try:
-                    journal.finish("failed", error=job.error, reason=reason,
-                                   exit_code=EXIT_INTERRUPTED)
-                except OSError:
-                    pass
+                # repro-lint: allow[blocking-in-async] terminal records are written on the loop: the abandoned flow thread must find the journal closed, and the lock guards one fsynced line
+                finish_failed(journal, job.error, EXIT_INTERRUPTED,
+                              reason=reason)
             raise
         # repro-lint: allow[broad-except] service isolation: one bad job must not kill the worker pool
         except Exception as exc:
             job.state = "failed"
-            job.exit_code = exc.exit_code if isinstance(exc, FlowError) \
-                else EXIT_FAILURE
-            job.error = f"{type(exc).__name__}: {exc}"
+            job.error, job.exit_code = failure(exc)
             job.result = None
             job.summary = {}
             if journal is not None:
-                # On the loop, like the other terminal records: the flow
-                # thread has returned, so the write lock is uncontended.
-                try:
-                    journal.finish("failed", error=job.error)
-                except OSError:
-                    pass
+                # repro-lint: allow[blocking-in-async] terminal record on the loop (see above); the flow thread has returned, so the lock is uncontended
+                finish_failed(journal, job.error, job.exit_code)
         finally:
             if journal is not None:
                 try:

@@ -332,6 +332,18 @@ class Project:
             if self.is_selected(info.path):
                 yield info
 
+    def iter_selected_functions(self) -> Iterator[Tuple[ModuleInfo, FunctionInfo]]:
+        """Every function defined in a selected module, as
+        ``(module, function)``: modules in name order, functions in
+        qualname order within each."""
+        by_module: Dict[Tuple[str, str], List[FunctionInfo]] = {}
+        for qualname in sorted(self.functions):
+            func = self.functions[qualname]
+            by_module.setdefault((func.module, func.path), []).append(func)
+        for module in self.iter_selected_modules():
+            for func in by_module.get((module.name, module.path), ()):
+                yield module, func
+
     def resolve_class(
         self, simple_name: str, prefer_module: Optional[str] = None
     ) -> Optional[ClassInfo]:

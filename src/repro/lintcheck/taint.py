@@ -421,15 +421,11 @@ class EntropyTaintRule(ProjectRule):
     def check_project(self, project: Project) -> Iterator[Finding]:
         summaries = compute_summaries(project)
         run_methods = _stage_run_qualnames(project)
-        for module in project.iter_selected_modules():
-            for qualname in sorted(project.functions):
-                func = project.functions[qualname]
-                if func.module != module.name or func.path != module.path:
-                    continue
-                yield from self._check_function(
-                    project, module, func, summaries,
-                    is_stage_run=qualname in run_methods,
-                )
+        for module, func in project.iter_selected_functions():
+            yield from self._check_function(
+                project, module, func, summaries,
+                is_stage_run=func.qualname in run_methods,
+            )
 
     def _check_function(
         self,

@@ -533,12 +533,8 @@ def unit_events(project: Project) -> List[UnitEvent]:
         return cached
     summaries = compute_unit_summaries(project)
     events: List[UnitEvent] = []
-    for module in project.iter_selected_modules():
-        for qualname in sorted(project.functions):
-            func = project.functions[qualname]
-            if func.module != module.name or func.path != module.path:
-                continue
-            _run_evaluator(project, func, summaries.get, events)
+    for _, func in project.iter_selected_functions():
+        _run_evaluator(project, func, summaries.get, events)
     deduped: Dict[Tuple[str, int, int, frozenset, str], UnitEvent] = {}
     for event in events:
         key = (event.path, event.line, event.col, event.pair, event.context)
@@ -631,30 +627,26 @@ class UnitUnsafeReturnRule(ProjectRule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         summaries = compute_unit_summaries(project)
-        for module in project.iter_selected_modules():
+        for module, func in project.iter_selected_functions():
             norm = module.path.replace("\\", "/")
             if not any(fragment in norm for fragment in _RETURN_SCOPES):
                 continue
-            for qualname in sorted(project.functions):
-                func = project.functions[qualname]
-                if func.module != module.name or func.path != module.path:
-                    continue
-                if func.name.startswith("_"):
-                    continue
-                returns = func.node.returns
-                if annotation_simple_name(returns) != "float":
-                    continue  # only bare floats are unit-unsafe
-                if _annotation_unit(returns) is not None:
-                    continue
-                if summaries.get(qualname) is not None:
-                    continue
-                if _name_unit(func.name) is not None:
-                    continue
-                yield Finding(
-                    func.path, func.node.lineno, func.node.col_offset,
-                    self.id,
-                    f"public API {func.display!r} returns a bare float with "
-                    "no establishable unit; annotate the return with a "
-                    "repro.units alias (Nanometers, Picoseconds, "
-                    "Dimensionless, ...)",
-                )
+            if func.name.startswith("_"):
+                continue
+            returns = func.node.returns
+            if annotation_simple_name(returns) != "float":
+                continue  # only bare floats are unit-unsafe
+            if _annotation_unit(returns) is not None:
+                continue
+            if summaries.get(func.qualname) is not None:
+                continue
+            if _name_unit(func.name) is not None:
+                continue
+            yield Finding(
+                func.path, func.node.lineno, func.node.col_offset,
+                self.id,
+                f"public API {func.display!r} returns a bare float with "
+                "no establishable unit; annotate the return with a "
+                "repro.units alias (Nanometers, Picoseconds, "
+                "Dimensionless, ...)",
+            )

@@ -37,7 +37,7 @@ class TestJournalRoundTrip:
         journal = RunJournal.create(str(tmp_path), {"fingerprint": "f"})
         journal.append("stage", name="place", key="k1")
         journal.append("stage", name="opc", key="k2")
-        journal.record_complete(wns_post=-12.5)
+        journal.finish("complete", wns_post=-12.5)
         journal.close()
 
         reread = RunJournal(str(tmp_path))
@@ -64,7 +64,7 @@ class TestJournalRoundTrip:
         journal = RunJournal.create(str(tmp_path), {"fingerprint": "f"})
         journal.record_interrupted("SIGINT", next_stage="metrology")
         assert journal.was_interrupted()
-        journal.record_complete()
+        journal.finish("complete")
         assert not journal.was_interrupted()
         journal.close()
 
@@ -90,7 +90,7 @@ class TestClosedJournal:
         with pytest.raises(JournalClosedError, match="'stage'"):
             journal.append("stage", name="opc", key="k2")
         with pytest.raises(JournalClosedError):
-            journal.record_complete()
+            journal.finish("complete")
         assert (tmp_path / RunJournal.FILENAME).read_bytes() == before
 
     def test_finish_writes_terminal_record_then_refuses_appends(
