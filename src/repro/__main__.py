@@ -50,7 +50,12 @@ def _make_design(name: str, library, design_size=None):
     if design_size is not None:
         # --design-size overrides --design: an exactly-sized structured-ASIC
         # vehicle (seeded, so the same size is the same netlist every run).
-        return structured_asic(design_size)
+        from repro.flow import InputValidationError
+
+        try:
+            return structured_asic(design_size)
+        except ValueError as exc:
+            raise InputValidationError("design_size", str(exc)) from exc
     if name not in DESIGNS:
         raise SystemExit(f"unknown design {name!r}; choose from {sorted(DESIGNS)}")
     return DESIGNS[name](library)
@@ -119,8 +124,10 @@ def cmd_run(args) -> int:
     journal = None
     if args.run_dir:
         opener = RunJournal.resume if args.resume else RunJournal.create
+        # --design-size replaced --design: journal the netlist that ran.
+        design = args.design if args.design_size is None else netlist.name
         journal = opener(args.run_dir,
-                         run_manifest(args.design, args.op, flow, config))
+                         run_manifest(design, args.op, flow, config))
     try:
         with InterruptGuard() as guard:
             result = run_op(flow, args.op, config, journal=journal,

@@ -164,11 +164,6 @@ class FlowContext:
         self.misses: Dict[str, int] = {}
         self.cache_dir = cache_dir
         self.max_disk_bytes = max_disk_bytes
-        #: where the most recent successful lookup was served from
-        #: ("memory" | "disk" | None) — kept for single-threaded callers;
-        #: concurrent callers must use :meth:`fetch`, which returns the
-        #: source alongside the value instead of racing on this attribute.
-        self.last_hit_source: Optional[str] = None
         #: memory-tier accounting (every fetch consults memory first)
         self.mem_lookups = 0
         self.mem_hits = 0
@@ -375,17 +370,16 @@ class FlowContext:
     def fetch(self, key: str) -> Tuple[Any, Optional[str]]:
         """(artifact, source tier) — (:data:`MISSING`, None) on a miss.
 
-        The concurrency-safe primitive behind :meth:`lookup`: the tier
-        the value came from is returned instead of being parked on the
-        shared :attr:`last_hit_source` attribute.  Disk hits are promoted
-        into memory atomically — a racing :meth:`store` of the same key
-        wins and the promote keeps its value.
+        The one cache lookup: the in-memory tier first, then (when
+        ``cache_dir`` is set) the on-disk tier.  The tier is returned
+        with the value, so concurrent callers never race on shared state.
+        Disk hits are promoted into memory atomically — a racing
+        :meth:`store` of the same key wins and the promote keeps its value.
         """
         with self._lock:
             self.mem_lookups += 1
             if key in self._artifacts:
                 self.mem_hits += 1
-                self.last_hit_source = "memory"
                 return self._artifacts[key], "memory"
             self.mem_misses += 1
         if self.cache_dir is not None:
@@ -396,23 +390,9 @@ class FlowContext:
                     self.disk_hits += 1
                     # Atomic promote: never clobber a concurrent store.
                     value = self._artifacts.setdefault(key, value)
-                    self.last_hit_source = "disk"
                 return value, "disk"
             self._count("disk_misses")
-        with self._lock:
-            self.last_hit_source = None
         return MISSING, None
-
-    def lookup(self, key: str) -> Any:
-        """The stored artifact, or :data:`MISSING`.
-
-        Checks the in-memory tier first, then (when ``cache_dir`` is set)
-        the on-disk tier; disk hits are promoted into memory.
-        :attr:`last_hit_source` records where the value came from — under
-        concurrency prefer :meth:`fetch`, which returns the source.
-        """
-        value, _ = self.fetch(key)
-        return value
 
     def store(self, key: str, value: Any) -> None:
         with self._lock:

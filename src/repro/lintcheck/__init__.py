@@ -15,6 +15,11 @@ On top of the per-module rules sits a whole-program dataflow layer
 (everything ``run()`` reads must be in its Merkle artifact key) and
 inter-procedural entropy taint from sources like ``time.time()`` to
 determinism sinks like ``stable_hash``, with full source→sink paths.
+
+Stage rules read a stage's contract through the one set of stage
+readers in :mod:`~repro.lintcheck.cachesafety` (nested defs skipped: their
+``return`` is not the method's), and reachability is the one
+breadth-first :func:`~repro.lintcheck.callgraph.walk_calls`.
 """
 
 from repro.lintcheck.core import (

@@ -32,15 +32,16 @@ import hashlib
 import json
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.lintcheck.callgraph import (
     ClassInfo,
     FunctionInfo,
+    FunctionNode,
     Project,
-    frozen_env,
+    walk_calls,
+    walk_skipping_functions,
 )
 from repro.lintcheck.core import Finding, ProjectRule, register
 
@@ -100,6 +101,11 @@ class RunInputScan:
     visited: Set[str] = field(default_factory=set)
 
 
+#: one node of the role walk: a function, its role bindings, and the
+#: call chain that reached it
+_RoleNode = Tuple[FunctionInfo, Dict[str, str], Tuple[str, ...]]
+
+
 def scan_callable(
     project: Project,
     start: FunctionInfo,
@@ -111,23 +117,21 @@ def scan_callable(
     ``ROLE_CONFIG`` / ``ROLE_ARTIFACTS``.  Role bindings follow bare-name
     arguments into statically resolvable callees (``self`` carries the
     receiver's role), so a helper three calls deep that reads
-    ``config.n_slices`` is still attributed to the stage.
+    ``config.n_slices`` is still attributed to the stage.  A function is
+    scanned once per distinct role binding.
     """
     scan = RunInputScan()
     flow_class = _role_class(start, roles, ROLE_FLOW)
     config_class = _role_class(start, roles, ROLE_CONFIG)
-    queue: Deque[Tuple[FunctionInfo, Dict[str, str], Tuple[str, ...]]] = deque()
-    queue.append((start, dict(roles), ()))
-    seen: Set[Tuple[str, Any]] = set()
-    while queue:
-        func, env, chain = queue.popleft()
-        key = (func.qualname, frozen_env(env))
-        if key in seen:
-            continue
-        seen.add(key)
-        scan.visited.add(func.qualname)
-        _scan_one(project, func, env, chain, scan, queue,
-                  flow_class, config_class)
+
+    def step(node: _RoleNode) -> List[_RoleNode]:
+        return _scan_one(project, *node, scan, flow_class, config_class)
+
+    reached = walk_calls(
+        [(start, dict(roles), ())], step,
+        key=lambda node: (node[0].qualname, frozenset(node[1].items())),
+    )
+    scan.visited = {func.qualname for func, _, _ in reached}
     return scan
 
 
@@ -148,10 +152,12 @@ def _scan_one(
     env: Dict[str, str],
     chain: Tuple[str, ...],
     scan: RunInputScan,
-    queue: Deque[Tuple[FunctionInfo, Dict[str, str], Tuple[str, ...]]],
     flow_class: Optional[str],
     config_class: Optional[str],
-) -> None:
+) -> List[_RoleNode]:
+    """Record ``func``'s role reads into ``scan``; return its callees
+    entered with a role binding."""
+    successors: List[_RoleNode] = []
     local_classes: Dict[str, str] = {}
     for name, role in env.items():
         if role == ROLE_FLOW and flow_class is not None:
@@ -165,7 +171,7 @@ def _scan_one(
     consumed_call_funcs: Set[int] = set()
     for node in ast.walk(func.node):
         if isinstance(node, ast.Call):
-            _scan_call(project, func, node, env, chain, scan, queue,
+            _scan_call(project, func, node, env, chain, scan, successors,
                        local_classes, consumed_call_funcs)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             if id(node) in consumed_call_funcs:
@@ -182,7 +188,7 @@ def _scan_one(
                         func, node.value.id, node.attr, local_classes
                     )
                     if getter is not None and getter.params:
-                        queue.append((
+                        successors.append((
                             getter,
                             {getter.params[0]: ROLE_FLOW},
                             chain + (getter.display,),
@@ -197,6 +203,7 @@ def _scan_one(
                 read = Read(node.slice.value, func.path, node.lineno,
                             node.col_offset, chain)
                 scan.artifact_reads.setdefault(node.slice.value, read)
+    return successors
 
 
 def _scan_call(
@@ -206,7 +213,7 @@ def _scan_call(
     env: Dict[str, str],
     chain: Tuple[str, ...],
     scan: RunInputScan,
-    queue: Deque[Tuple[FunctionInfo, Dict[str, str], Tuple[str, ...]]],
+    successors: List[_RoleNode],
     local_classes: Dict[str, str],
     consumed_call_funcs: Set[int],
 ) -> None:
@@ -259,7 +266,7 @@ def _scan_call(
         ):
             callee_env[keyword.arg] = env[keyword.value.id]
     if callee_env:
-        queue.append((callee, callee_env, chain + (callee.display,)))
+        successors.append((callee, callee_env, chain + (callee.display,)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,65 +284,73 @@ class StageAnalysis:
     run: Optional[FunctionInfo]
     declared_parents: Set[str] = field(default_factory=set)
     declared_config: Set[str] = field(default_factory=set)
-    declared_provides: Set[str] = field(default_factory=set)
-    has_provides: bool = False
+    #: None when no class in the hierarchy defines ``provides()``
+    declared_provides: Optional[Set[str]] = None
     produced: Set[str] = field(default_factory=set)
     scan: Optional[RunInputScan] = None
 
 
-def _class_constant(node: ast.ClassDef, attr: str) -> object:
+# The stage readers: the only code that reads a stage's static contract.
+
+
+def stage_name_and_version(node: ast.ClassDef) -> Tuple[Optional[str], Optional[int]]:
+    """The class-level ``name`` (a string) and ``version`` (an int, not a
+    bool) a stage declares itself; None for either that is missing or of
+    another type.  The first constant assigned to a name counts."""
+    constants: Dict[str, object] = {}
     for item in node.body:
-        value: Optional[ast.expr] = None
-        if isinstance(item, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == attr for t in item.targets
-        ):
-            value = item.value
-        elif (
-            isinstance(item, ast.AnnAssign)
-            and isinstance(item.target, ast.Name)
-            and item.target.id == attr
-        ):
-            value = item.value
-        if isinstance(value, ast.Constant):
-            return value.value
-    return None
+        if isinstance(item, ast.Assign):
+            targets = item.targets
+        elif isinstance(item, ast.AnnAssign):
+            targets = [item.target]
+        else:
+            continue
+        if isinstance(item.value, ast.Constant):
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    constants.setdefault(target.id, item.value.value)
+    name = constants.get("name")
+    version = constants.get("version")
+    return (
+        name if isinstance(name, str) else None,
+        version if isinstance(version, int) and not isinstance(version, bool) else None,
+    )
 
 
-def _requires_parents(project: Project, cls: ClassInfo) -> Set[str]:
-    """Union of string literals returned by the stage's ``requires()``.
+def _returns(func: FunctionNode) -> List[ast.Return]:
+    """The ``return`` statements of ``func`` itself.  A nested def's
+    ``return`` is not a return of the method that encloses it, so nested
+    function bodies are skipped."""
+    return [
+        node for node in walk_skipping_functions(func.body)
+        if isinstance(node, ast.Return)
+    ]
+
+
+def returned_dicts(func: FunctionNode) -> Tuple[List[ast.Dict], bool]:
+    """The dict literals ``func`` returns, and whether every ``return``
+    of ``func`` is one."""
+    returns = _returns(func)
+    dicts = [node.value for node in returns if isinstance(node.value, ast.Dict)]
+    return dicts, bool(returns) and len(dicts) == len(returns)
+
+
+def _returned_literals(project: Project, cls: ClassInfo, method: str) -> Optional[Set[str]]:
+    """Union of the string literals the stage's ``method`` returns; None
+    when no class in the hierarchy defines it.
 
     ``requires`` may branch on the config (selective OPC does); the union
-    over every return is the sound superset of declared parent edges.
+    over every return is the sound superset of the declared edges.
     """
-    requires = project.resolve_method(cls, "requires")
-    parents: Set[str] = set()
-    if requires is None:
-        return parents
-    for node in ast.walk(requires.node):
-        if isinstance(node, ast.Return) and node.value is not None:
-            for inner in ast.walk(node.value):
-                if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
-                    parents.add(inner.value)
-    return parents
-
-
-def _provides_artifacts(project: Project, cls: ClassInfo) -> Tuple[bool, Set[str]]:
-    """(resolvable, union of string literals returned by ``provides()``).
-
-    Like :func:`_requires_parents`, the union over every return is the
-    declared superset; a stage whose base chain carries no ``provides``
-    at all resolves to ``(False, set())``.
-    """
-    provides = project.resolve_method(cls, "provides")
-    if provides is None:
-        return False, set()
-    declared: Set[str] = set()
-    for node in ast.walk(provides.node):
-        if isinstance(node, ast.Return) and node.value is not None:
-            for inner in ast.walk(node.value):
-                if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
-                    declared.add(inner.value)
-    return True, declared
+    func = project.resolve_method(cls, method)
+    if func is None:
+        return None
+    return {
+        inner.value
+        for node in _returns(func.node) if node.value is not None
+        for inner in ast.walk(node.value)
+        if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+    }
 
 
 def _declared_config_reads(project: Project, cls: ClassInfo) -> Set[str]:
@@ -355,27 +370,6 @@ def _declared_config_reads(project: Project, cls: ClassInfo) -> Set[str]:
     if not roles:
         return set()
     return set(scan_callable(project, config_slice, roles).config_reads)
-
-
-def _produced_artifacts(run: FunctionInfo) -> Set[str]:
-    """String-literal keys of dicts returned by ``run()``."""
-    produced: Set[str] = set()
-    for node in ast.walk(run.node):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    produced.add(key.value)
-    return produced
-
-
-def _returns_all_literal_dicts(run: FunctionInfo) -> bool:
-    """True when every ``return`` in ``run()`` is a literal dict, so
-    :func:`_produced_artifacts` is the *complete* output set, not just a
-    lower bound (a stage returning a built-up name is opaque here)."""
-    returns = [n for n in ast.walk(run.node) if isinstance(n, ast.Return)]
-    return bool(returns) and all(
-        isinstance(n.value, ast.Dict) for n in returns
-    )
 
 
 def _run_roles(run: FunctionInfo) -> Dict[str, str]:
@@ -406,28 +400,21 @@ def analyze_stages(project: Project) -> List[StageAnalysis]:
         return cached
     analyses: List[StageAnalysis] = []
     for cls in project.iter_subclasses(STAGE_BASE):
-        name_value = _class_constant(cls.node, "name")
-        version_value = _class_constant(cls.node, "version")
-        analysis = StageAnalysis(
-            cls=cls,
-            stage_name=name_value if isinstance(name_value, str) else None,
-            version=(
-                version_value
-                if isinstance(version_value, int)
-                and not isinstance(version_value, bool)
-                else None
-            ),
-            run=None,
-        )
+        name, version = stage_name_and_version(cls.node)
+        analysis = StageAnalysis(cls=cls, stage_name=name, version=version, run=None)
         if "run" in cls.methods:
             run = project.functions[cls.methods["run"]]
             analysis.run = run
-            analysis.produced = _produced_artifacts(run)
-            analysis.declared_parents = _requires_parents(project, cls)
-            analysis.declared_config = _declared_config_reads(project, cls)
-            analysis.has_provides, analysis.declared_provides = (
-                _provides_artifacts(project, cls)
+            dicts, _ = returned_dicts(run.node)
+            analysis.produced = {
+                key.value for returned in dicts for key in returned.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            }
+            analysis.declared_parents = (
+                _returned_literals(project, cls, "requires") or set()
             )
+            analysis.declared_config = _declared_config_reads(project, cls)
+            analysis.declared_provides = _returned_literals(project, cls, "provides")
             analysis.scan = scan_callable(project, run, _run_roles(run))
         analyses.append(analysis)
     project.analysis_cache["cachesafety"] = analyses
@@ -440,8 +427,8 @@ def _artifact_producers(analyses: List[StageAnalysis]) -> Dict[str, str]:
         if analysis.stage_name is None:
             continue
         # provides() covers stages whose run() returns a built-up name
-        # (opaque to _produced_artifacts) — both views feed the map.
-        for artifact in sorted(analysis.produced | analysis.declared_provides):
+        # (opaque to returned_dicts) — both views feed the map.
+        for artifact in sorted(analysis.produced | (analysis.declared_provides or set())):
             producers.setdefault(artifact, analysis.stage_name)
     return producers
 
@@ -562,7 +549,8 @@ class StageEdgeContractRule(ProjectRule):
         stage = analysis.cls.name
         anchor = (analysis.cls.path, analysis.run.node.lineno,
                   analysis.run.node.col_offset)
-        if not analysis.has_provides:
+        declared = analysis.declared_provides
+        if declared is None:
             if analysis.produced:
                 yield Finding(
                     *anchor, self.id,
@@ -572,15 +560,19 @@ class StageEdgeContractRule(ProjectRule):
                     "— the stage graph cannot attribute these edges",
                 )
             return
-        for name in sorted(analysis.produced - analysis.declared_provides):
+        for name in sorted(analysis.produced - declared):
             yield Finding(
                 *anchor, self.id,
                 f"stage {stage!r}: run() returns artifact {name!r} that "
                 "provides() does not declare — duplicate-producer "
                 "validation and scheduler input wiring are blind to it",
             )
-        if _returns_all_literal_dicts(analysis.run):
-            for name in sorted(analysis.declared_provides - analysis.produced):
+        # Only when every return of run() is a literal dict is `produced`
+        # the complete output set, not a lower bound (a stage returning a
+        # built-up name is opaque here).
+        _, complete = returned_dicts(analysis.run.node)
+        if complete:
+            for name in sorted(declared - analysis.produced):
                 yield Finding(
                     *anchor, self.id,
                     f"stage {stage!r}: provides() declares artifact "

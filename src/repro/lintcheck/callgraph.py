@@ -20,8 +20,10 @@ attributes, values from containers, ``getattr``) resolves to ``None``
 and the dataflow rules treat the call as opaque.
 
 :func:`solve` is the one interprocedural summary fixpoint every
-whole-program rule uses; :class:`BodyWalker` is the statement walk the
-units and taint evaluators share.
+whole-program rule uses, and :func:`walk_calls` the one breadth-first
+reachability walk (cache safety follows role-bound parameters with it,
+the concurrency model thread entry points); :class:`BodyWalker` is the
+statement walk the units and taint evaluators share.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ import ast
 import heapq
 import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, FrozenSet, Generic, Iterable, Iterator, List, Mapping, Optional,
-    Sequence, Set, Tuple, TypeVar, Union,
+    Any, Callable, Deque, Dict, Generic, Hashable, Iterable, Iterator, List, Mapping,
+    Optional, Sequence, Set, Tuple, TypeVar, Union,
 )
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -45,6 +48,9 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: a summary value (return unit, taint labels, lock set, ...)
 V = TypeVar("V")
+
+#: a node of a call-graph walk (a function plus what the walk carries)
+S = TypeVar("S")
 
 
 def module_name_for(path: str) -> Tuple[str, str]:
@@ -545,6 +551,48 @@ def solve(
     return values
 
 
+def walk_calls(
+    seeds: Iterable[S],
+    step: Callable[[S], Iterable[S]],
+    key: Callable[[S], Hashable],
+) -> List[S]:
+    """The one breadth-first call-graph walk of the lint engine.
+
+    ``step(node)`` does the caller's per-node work and returns the
+    node's successors; ``key(node)`` is its identity (a qualname, or a
+    qualname plus the bindings the caller tracks).  Each key is stepped
+    once, in breadth-first order, as the node of the first (shortest)
+    path that reached it.  Returns the stepped nodes in visit order.
+    """
+    reached: Dict[Hashable, S] = {}
+    queue: Deque[S] = deque()
+
+    def reach(nodes: Iterable[S]) -> None:
+        for node in nodes:
+            identity = key(node)
+            if identity not in reached:
+                reached[identity] = node
+                queue.append(node)
+
+    reach(seeds)
+    while queue:
+        reach(step(queue.popleft()))
+    return list(reached.values())
+
+
+def walk_skipping_functions(nodes: Sequence[ast.AST]) -> Iterator[ast.AST]:
+    """Walk nodes without descending into nested function bodies: a
+    ``return`` or ``raise`` inside a nested def belongs to that def, not
+    to the body being walked."""
+    stack: List[ast.AST] = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
 class BodyWalker(Generic[V]):
     """One forward pass over a function body, generic in the value domain.
 
@@ -655,8 +703,3 @@ def call_simple_name(call: ast.Call) -> Optional[str]:
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     return None
-
-
-def frozen_env(env: Mapping[str, str]) -> FrozenSet[Tuple[str, str]]:
-    """Hashable view of a role/class environment (memoization key)."""
-    return frozenset(env.items())

@@ -44,11 +44,12 @@ way :mod:`repro.lintcheck.taint` is; the runtime companion
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.lintcheck.callgraph import FunctionInfo, ModuleInfo, Project, dotted_name, solve
+from repro.lintcheck.callgraph import (
+    FunctionInfo, ModuleInfo, Project, dotted_name, solve, walk_calls,
+)
 from repro.lintcheck.core import Finding, ProjectRule, register
 
 _CACHE_KEY = "concurrency-model"
@@ -450,33 +451,31 @@ def _resolve_sites(project: Project, model: ConcurrencyModel) -> None:
 
 
 def _reachability(project: Project, model: ConcurrencyModel) -> None:
-    """BFS from the thread entry points over resolved calls.
+    """Breadth-first from the thread entry points over resolved calls.
 
     Async callees are not traversed: calling a coroutine function from a
     thread only builds the coroutine, it does not run the body there.
     """
-    queue: deque[str] = deque()
-    for qualname in sorted(model.entries):
-        info = project.functions.get(qualname)
-        if info is None or info.is_async:
-            continue
-        model.reachable[qualname] = ThreadChain(
-            entry=model.entries[qualname], chain=(info.display,)
-        )
-        queue.append(qualname)
-    while queue:
-        qualname = queue.popleft()
-        chain = model.reachable[qualname]
+
+    def step(node: Tuple[str, ThreadChain]) -> Iterator[Tuple[str, ThreadChain]]:
+        qualname, chain = node
         for site in model.call_sites.get(qualname, []):
-            if site.resolved is None or site.resolved in model.reachable:
+            if site.resolved is None:
                 continue
             callee = project.functions[site.resolved]
-            if callee.is_async:
-                continue
-            model.reachable[site.resolved] = ThreadChain(
-                entry=chain.entry, chain=chain.chain + (callee.display,)
-            )
-            queue.append(site.resolved)
+            if not callee.is_async:
+                yield site.resolved, ThreadChain(
+                    entry=chain.entry, chain=chain.chain + (callee.display,)
+                )
+
+    entries = []
+    for qualname in sorted(model.entries):
+        info = project.functions.get(qualname)
+        if info is not None and not info.is_async:
+            entries.append((qualname, ThreadChain(
+                entry=model.entries[qualname], chain=(info.display,)
+            )))
+    model.reachable = dict(walk_calls(entries, step, key=lambda node: node[0]))
 
 
 def _always_held(model: ConcurrencyModel) -> None:

@@ -9,8 +9,10 @@ a journal line, or an export stream, so that rule pins ``repro/flow/``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.lintcheck.cachesafety import STAGE_BASE, returned_dicts, stage_name_and_version
+from repro.lintcheck.callgraph import walk_skipping_functions
 from repro.lintcheck.core import Finding, LintRule, ModuleSource, register
 
 
@@ -24,18 +26,6 @@ def _dotted_name(node: ast.AST) -> Optional[Tuple[str, ...]]:
         parts.append(node.id)
         return tuple(reversed(parts))
     return None
-
-
-def _walk_skipping_functions(nodes: Sequence[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function bodies
-    (a ``raise`` inside a nested def does not re-raise for the handler)."""
-    stack: List[ast.AST] = list(nodes)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
@@ -346,8 +336,7 @@ class UnorderedIterationRule(LintRule):
             scope.body if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
             else [scope]
         )
-        for found in _walk_skipping_functions(list(children)):
-            yield found
+        yield from walk_skipping_functions(children)
 
     def _set_origin_locals(self, scope: ast.AST) -> Set[str]:
         names: Set[str] = set()
@@ -413,20 +402,18 @@ class StageContractRule(LintRule):
             if not isinstance(node, ast.ClassDef):
                 continue
             if not any(
-                (dotted := _dotted_name(base)) and dotted[-1] == "FlowStage"
+                (dotted := _dotted_name(base)) and dotted[-1] == STAGE_BASE
                 for base in node.bases
             ):
                 continue
-            name_value = self._class_constant(node, "name")
-            version_value = self._class_constant(node, "version")
-            if not (isinstance(name_value, str) and name_value):
+            name, version = stage_name_and_version(node)
+            if not name:
                 yield self.finding(
                     module, node,
                     f"stage {node.name!r} must declare a non-empty class-level "
                     "string `name` (it is part of every artifact key)",
                 )
-            if not (isinstance(version_value, int)
-                    and not isinstance(version_value, bool)):
+            if version is None:
                 yield self.finding(
                     module, node,
                     f"stage {node.name!r} must declare a class-level integer "
@@ -438,29 +425,12 @@ class StageContractRule(LintRule):
                 if isinstance(item, ast.FunctionDef) and item.name == "run":
                     yield from self._check_artifact_keys(module, node, item)
 
-    @staticmethod
-    def _class_constant(node: ast.ClassDef, attr: str) -> object:
-        for item in node.body:
-            value: Optional[ast.expr] = None
-            if isinstance(item, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == attr for t in item.targets
-            ):
-                value = item.value
-            elif (isinstance(item, ast.AnnAssign)
-                  and isinstance(item.target, ast.Name)
-                  and item.target.id == attr):
-                value = item.value
-            if isinstance(value, ast.Constant):
-                return value.value
-        return None
-
     def _check_artifact_keys(
         self, module: ModuleSource, cls: ast.ClassDef, run: ast.FunctionDef
     ) -> Iterator[Finding]:
-        for node in _walk_skipping_functions(list(run.body)):
-            if not isinstance(node, ast.Return) or not isinstance(node.value, ast.Dict):
-                continue
-            for key in node.value.keys:
+        returned, _ = returned_dicts(run)
+        for artifacts in returned:
+            for key in artifacts.keys:
                 if key is None:
                     continue  # dict unpacking merges already-checked dicts
                 if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
@@ -502,7 +472,7 @@ class BroadExceptRule(LintRule):
             if not self._is_broad(node.type):
                 continue
             if any(isinstance(inner, ast.Raise)
-                   for inner in _walk_skipping_functions(list(node.body))):
+                   for inner in walk_skipping_functions(node.body)):
                 continue
             yield self.finding(
                 module, node,

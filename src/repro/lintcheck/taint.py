@@ -32,6 +32,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.lintcheck.cachesafety import analyze_stages
 from repro.lintcheck.callgraph import (
     BodyWalker,
     FunctionInfo,
@@ -398,14 +399,6 @@ def compute_summaries(project: Project) -> Dict[str, Labels]:
     return summaries
 
 
-def _stage_run_qualnames(project: Project) -> Set[str]:
-    out: Set[str] = set()
-    for cls in project.iter_subclasses("FlowStage"):
-        if "run" in cls.methods:
-            out.add(cls.methods["run"])
-    return out
-
-
 @register
 class EntropyTaintRule(ProjectRule):
     """No entropy may reach a determinism sink, however indirectly.
@@ -420,7 +413,10 @@ class EntropyTaintRule(ProjectRule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         summaries = compute_summaries(project)
-        run_methods = _stage_run_qualnames(project)
+        run_methods = {
+            analysis.run.qualname for analysis in analyze_stages(project)
+            if analysis.run is not None
+        }
         for module, func in project.iter_selected_functions():
             yield from self._check_function(
                 project, module, func, summaries,

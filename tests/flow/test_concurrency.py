@@ -88,7 +88,7 @@ class TestSingleFlight:
 
         with pytest.raises(RuntimeError):
             ctx.settle("stage", "k1", failing)
-        assert ctx.lookup("k1") is MISSING
+        assert ctx.fetch("k1")[0] is MISSING
         outcome = ctx.settle("stage", "k1", lambda: "recovered")
         assert outcome.value == "recovered" and not outcome.cache_hit
         assert len(attempts) == 1
@@ -134,7 +134,7 @@ class TestDiskUnderContention:
         assert reader.consistency() == []
         # the recompute re-wrote a good entry
         final = FlowContext(cache_dir=cache)
-        assert final.lookup("k1") == {"payload": 7}
+        assert final.fetch("k1")[0] == {"payload": 7}
         assert final.disk_corruptions == 0
 
     def test_eviction_racing_promote(self, tmp_path):
@@ -169,7 +169,7 @@ class TestDiskUnderContention:
         def race(i):
             if i % 2 == 0:
                 ctx.store("k1", "from-disk")
-            results[i] = ctx.lookup("k1")
+            results[i] = ctx.fetch("k1")[0]
 
         assert _hammer(8, race) == []
         assert set(results.values()) == {"from-disk"}

@@ -155,6 +155,28 @@ class TestCliRunDir:
         assert records[-1]["exit_code"] == 1
         assert "every sweep mode failed" in records[-1]["error"]
 
+    def test_design_size_run_journals_the_netlist_that_ran(
+        self, tmp_path, monkeypatch
+    ):
+        # --design-size replaces --design; the run stops at its first
+        # stage, after the manifest is written.
+        real_engine = cli._make_flow_engine
+
+        def engine_with_faults(args):
+            context, executor = real_engine(args)
+            context.fault_plan = FaultPlan(
+                [FaultSpec(site="stage-run", match="place")]
+            )
+            return context, executor
+
+        monkeypatch.setattr(cli, "_make_flow_engine", engine_with_faults)
+        run_dir = str(tmp_path / "run")
+        assert cli.main(["flow", "--design-size", "90", "--opc", "none",
+                         "--period", "500", "--run-dir", run_dir]) == 1
+        records = _records(run_dir)
+        assert records[0]["design"] == "fab90"
+        assert records[-1]["type"] == "failed"
+
 
 class TestServiceMatchesCli:
     def test_cli_run_and_service_job_write_the_same_manifest(

@@ -64,16 +64,14 @@ class TestDiskRoundTrip:
         assert first.stats()["disk"]["writes"] == 1
 
         second = FlowContext(cache_dir=d)
-        assert second.lookup("k1") == {"mask": [1.5, 2.5], "n": 3}
-        assert second.last_hit_source == "disk"
+        assert second.fetch("k1") == ({"mask": [1.5, 2.5], "n": 3}, "disk")
         assert second.stats()["disk"]["hits"] == 1
         # Promoted into memory: the next lookup is a memory hit.
-        second.lookup("k1")
-        assert second.last_hit_source == "memory"
+        assert second.fetch("k1")[1] == "memory"
 
     def test_absent_key_is_plain_miss(self, tmp_path):
         ctx = FlowContext(cache_dir=str(tmp_path))
-        assert ctx.lookup("nothere") is MISSING
+        assert ctx.fetch("nothere")[0] is MISSING
         assert ctx.stats()["disk"]["misses"] == 1
         assert ctx.stats()["disk"]["corruptions"] == 0
 
@@ -106,14 +104,14 @@ class TestCorruptionRecovery:
         assert value == "fresh" and calls == [1]
         assert ctx.disk_corruptions == 1
         # The damaged files were dropped and the recompute re-persisted.
-        assert FlowContext(cache_dir=d).lookup("k1") == "fresh"
+        assert FlowContext(cache_dir=d).fetch("k1")[0] == "fresh"
 
     def test_missing_sidecar_is_corruption(self, tmp_path):
         d = str(tmp_path)
         data_path, hash_path = self._seed(d)
         os.remove(hash_path)
         ctx = FlowContext(cache_dir=d)
-        assert ctx.lookup("k1") is MISSING
+        assert ctx.fetch("k1")[0] is MISSING
         assert ctx.disk_corruptions == 1
         assert not os.path.exists(data_path)
 
@@ -123,7 +121,7 @@ class TestCorruptionRecovery:
         with open(hash_path, "w") as fh:
             fh.write("0" * 64 + "\n")
         ctx = FlowContext(cache_dir=d)
-        assert ctx.lookup("k1") is MISSING
+        assert ctx.fetch("k1")[0] is MISSING
         assert ctx.disk_corruptions == 1
 
     def test_unpicklable_value_counts_write_error(self, tmp_path):
@@ -131,7 +129,7 @@ class TestCorruptionRecovery:
         ctx.store("k1", lambda: None)  # lambdas don't pickle
         assert ctx.stats()["disk"]["write_errors"] == 1
         # Still served from memory within this context.
-        assert ctx.lookup("k1") is not MISSING
+        assert ctx.fetch("k1")[0] is not MISSING
 
 
 class TestLruEviction:
@@ -143,8 +141,8 @@ class TestLruEviction:
             time.sleep(0.02)
         assert ctx.disk_evictions >= 1
         fresh = FlowContext(cache_dir=str(tmp_path))
-        assert fresh.lookup("k1") is MISSING  # oldest went first
-        assert fresh.lookup("k3") is not MISSING  # newest always survives
+        assert fresh.fetch("k1")[0] is MISSING  # oldest went first
+        assert fresh.fetch("k3")[0] is not MISSING  # newest always survives
 
     def test_disk_hit_refreshes_recency(self, tmp_path):
         d = str(tmp_path)
@@ -154,12 +152,12 @@ class TestLruEviction:
         time.sleep(0.02)
         ctx.store("k2", payload)
         time.sleep(0.02)
-        assert FlowContext(cache_dir=d).lookup("k1") is not MISSING  # touch k1
+        assert FlowContext(cache_dir=d).fetch("k1")[0] is not MISSING  # touch k1
         time.sleep(0.02)
         ctx.store("k3", payload)  # forces one eviction: k2 is now LRU
         fresh = FlowContext(cache_dir=d)
-        assert fresh.lookup("k1") is not MISSING
-        assert fresh.lookup("k2") is MISSING
+        assert fresh.fetch("k1")[0] is not MISSING
+        assert fresh.fetch("k2")[0] is MISSING
 
 
 class TestPersistentFlow:

@@ -86,7 +86,7 @@ class TestFlowContext:
     def test_lookup_miss_returns_sentinel(self):
         from repro.flow.context import MISSING
 
-        assert FlowContext().lookup("absent") is MISSING
+        assert FlowContext().fetch("absent")[0] is MISSING
 
 
 class TestParallelExecutor:

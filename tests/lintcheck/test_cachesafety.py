@@ -48,6 +48,46 @@ class TestRunInputScan:
         assert set(clean.scan.flow_reads) <= {"netlist"}
 
 
+class TestStageEdgeContract:
+    def test_declared_artifact_never_returned_past_a_nested_def(
+        self, tmp_path, capsys
+    ):
+        # The nested def's `return` is not a return of run(): run() still
+        # returns only literal dicts, so "ghost" is provably never produced.
+        pkg = tmp_path / "nestedpkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "base.py").write_text(textwrap.dedent("""
+            class FlowStage:
+                name = "base"
+                version = 0
+
+                def provides(self):
+                    return ()
+        """))
+        (pkg / "stages.py").write_text(textwrap.dedent("""
+            from .base import FlowStage
+
+
+            class NestedDefStage(FlowStage):
+                name = "nested_def"
+                version = 1
+
+                def provides(self):
+                    return ("real", "ghost")
+
+                def run(self, flow, config, artifacts, counters, context):
+                    def double(value):
+                        return value * 2
+
+                    return {"real": double(1)}
+        """))
+        assert main(["lint", str(pkg), "--select", "stage-edge-contract"]) == 1
+        out = capsys.readouterr().out
+        assert "NestedDefStage" in out
+        assert "declares artifact 'ghost' but run() never returns it" in out
+
+
 def _write_mini_package(tmp_path, run_extra="0", version=1):
     pkg = tmp_path / "minipkg"
     pkg.mkdir(exist_ok=True)

@@ -61,6 +61,12 @@ class TestCommands:
         names = [s["name"] for s in payload["stages"]]
         assert names[0] == "place" and "metrology" in names
 
+    def test_too_small_design_size_is_a_validation_error(self, capsys):
+        assert main(["flow", "--design-size", "40", "--opc", "none"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: design_size:")
+        assert "no combinational budget" in err
+
     def test_sta_command(self, capsys):
         assert main(["sta", "--design", "rca4", "--period", "800", "--paths", "2"]) == 0
         out = capsys.readouterr().out
