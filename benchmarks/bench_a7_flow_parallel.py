@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.circuits import c17
-from repro.flow import FlowConfig, FlowSweep, PostOpcTimingFlow
+from repro.flow import FlowConfig, FlowSweep, ParallelExecutor, PostOpcTimingFlow
 from repro.litho import LithographySimulator
 
 
@@ -33,7 +33,7 @@ def test_a7_tile_parallel_scaling(benchmark, tech, library):
     for jobs in (1, 2, 4):
         flow = PostOpcTimingFlow(c17(library), tech, cells=library,
                                  simulator=_small_tile_simulator(tech),
-                                 jobs=jobs)
+                                 executor=ParallelExecutor.from_jobs(jobs))
         report = flow.run(config)
         metrology = report.trace.record_for("metrology")
         opc = report.trace.record_for("opc")

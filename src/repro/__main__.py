@@ -228,7 +228,7 @@ def cmd_serve(args) -> int:
             await stop.wait()
             print("stopping: draining running jobs...")
         finally:
-            await service.stop(drain_timeout=args.drain_timeout)
+            await service.stop()
         return 0
 
     return asyncio.run(_serve())

@@ -17,9 +17,10 @@ local socket.  Each job runs the serial stage loop on its own thread;
 concurrent jobs share work through the context's single-flight settle.
 
 Hardening lives in :mod:`repro.flow.chaos` (deterministic seeded fault
-injection: :class:`FaultPlan` threaded through the cache, journal, stage,
-chunk and socket layers) and the service's deadlines, hung-stage
-watchdog, per-design :class:`CircuitBreaker` and orphan-job recovery.
+injection: :class:`FaultPlan`, the one fault hook, threaded through the
+cache, journal, stage, worker-chunk and socket layers) and the service's
+deadlines, hung-stage watchdog, per-design :class:`CircuitBreaker` and
+orphan-job recovery.
 """
 
 from repro.flow.chaos import ChaosError, FaultPlan, FaultSpec
@@ -39,7 +40,7 @@ from repro.flow.errors import (
     StageError,
 )
 from repro.flow.journal import InterruptGuard, RunJournal
-from repro.flow.parallel import FaultInjection, ParallelExecutor, split_chunks
+from repro.flow.parallel import ParallelExecutor, split_chunks
 from repro.flow.postopc import FlowConfig, FlowReport, PostOpcTimingFlow
 from repro.flow.service import CircuitBreaker, FlowService
 from repro.flow.stages import (
@@ -72,7 +73,6 @@ __all__ = [
     "stage_key",
     "settle_stage",
     "ParallelExecutor",
-    "FaultInjection",
     "split_chunks",
     "FlowSweep",
     "SweepResult",

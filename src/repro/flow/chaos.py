@@ -23,13 +23,19 @@ site                      injection point
                           stage blocks for ``delay_s`` (interruptible via
                           :meth:`FaultPlan.release`), simulating a wedged
                           worker thread
-``chunk``                 :meth:`ParallelExecutor._run_round` — the chunk
-                          is marked failed before dispatch (key = chunk
-                          index), driving retry/degrade, the in-process
-                          stand-in for a killed worker
+``chunk``                 :meth:`ParallelExecutor.map_chunks` — the pool
+                          worker given the chunk raises
+                          :class:`ChaosError` (key = chunk index),
+                          driving retry/degrade; the serial paths raise
+                          in-process
 ``socket``                :meth:`FlowService._handle_connection` — the
                           connection is dropped without a response
                           (key = the request op)
+``worker-exit``           :meth:`ParallelExecutor.map_chunks` — the
+                          process-pool worker given the chunk exits
+                          (the real ``BrokenProcessPool``); where exiting
+                          would kill the caller (thread pool, serial
+                          paths) it raises like ``chunk``
 ========================= ==================================================
 
 Determinism is the point: a plan fires on the first ``times`` *matching*
@@ -50,7 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.flow.errors import InputValidationError
 
 #: the injectable fault sites, in the round-robin order
-#: :meth:`FaultPlan.seeded` walks them
+#: :meth:`FaultPlan.seeded` walks them (new sites go last, so a seed
+#: keeps its fault class)
 SITES = (
     "disk-read",
     "disk-write",
@@ -59,6 +66,7 @@ SITES = (
     "stage-hang",
     "chunk",
     "socket",
+    "worker-exit",
 )
 
 #: stage names a seeded plan targets for ``stage-run`` / ``stage-hang``
@@ -143,7 +151,7 @@ class FaultPlan:
     ) -> Tuple["FaultPlan", FaultSpec]:
         """A deterministic single-fault plan derived from ``seed``.
 
-        The fault class defaults to ``SITES[seed % len(SITES)]`` (seven
+        The fault class defaults to ``SITES[seed % len(SITES)]`` (eight
         consecutive seeds cover every class); for stage faults the target
         stage is drawn from ``random.Random(seed)`` so a seed sweep also
         varies *where* the fault lands.  Returns ``(plan, spec)`` so the

@@ -40,7 +40,6 @@ _WIRE_CONFIG_FIELDS = (
     "use_routing",
     "max_quarantine_fraction",
     "litho_shards",
-    "deadline_s",
 )
 
 

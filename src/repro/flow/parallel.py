@@ -24,9 +24,9 @@ execution as a last resort.  Because chunk boundaries and the worker are
 deterministic, results stay bit-identical to serial whatever failed.
 Every failure/retry/degradation is counted on :attr:`ParallelExecutor.stats`
 and (when the caller passes a ``counters`` dict) on the stage's trace
-record.  :class:`FaultInjection` is the deterministic test hook: it makes
-the first K worker calls fail, machine-wide, via atomically-claimed
-marker files.
+record.  A :class:`~repro.flow.chaos.FaultPlan` is the deterministic test
+hook: its ``chunk`` and ``worker-exit`` faults fire inside the pool
+worker that runs the chunk, and in-process on the serial paths.
 """
 
 from __future__ import annotations
@@ -34,17 +34,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.flow.chaos import FaultPlan
+from repro.flow.chaos import ChaosError, FaultPlan
 from repro.flow.errors import InputValidationError
 
 BACKENDS = ("serial", "thread", "process")
 
-#: fault kinds the injection hook supports: raise an exception inside the
-#: worker call, or hard-kill the worker process (-> BrokenProcessPool)
-FAULT_KINDS = ("raise", "exit")
+#: the FaultPlan sites that fail one worker chunk
+_CHUNK_SITES = ("chunk", "worker-exit")
 
 
 def split_chunks(items: Sequence[Any], n: int) -> List[List[Any]]:
@@ -61,49 +59,15 @@ def split_chunks(items: Sequence[Any], n: int) -> List[List[Any]]:
     return [c for c in chunks if c]
 
 
-@dataclass(frozen=True)
-class FaultInjection:
-    """Deterministic worker-fault test hook.
-
-    The first ``fail_first`` worker calls — counted across *all* worker
-    processes via exclusive-create marker files under ``marker_dir`` —
-    fail; every later call (including the retry of a failed chunk) runs
-    normally.  ``kind="raise"`` raises inside the call; ``kind="exit"``
-    kills the worker process outright, breaking the whole pool.
-    """
-
-    marker_dir: str
-    fail_first: int = 1
-    kind: str = "raise"
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise InputValidationError(
-                "kind", f"must be one of {FAULT_KINDS}, got {self.kind!r}"
-            )
-
-    def claim_token(self) -> Optional[int]:
-        """Atomically claim one remaining failure token (None if spent)."""
-        for index in range(self.fail_first):
-            path = os.path.join(self.marker_dir, f"fault-{index}")
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue
-            os.close(fd)
-            return index
-        return None
-
-
-def _fault_injected_chunk(payload: Tuple[Any, List[Any]]) -> List[Any]:
-    """Module-level (picklable) wrapper applying a :class:`FaultInjection`."""
-    (worker, injection, shared), chunk = payload
-    token = injection.claim_token()
-    if token is not None:
-        if injection.kind == "exit":
-            os._exit(43)
-        raise RuntimeError(f"injected worker fault #{token}")
-    return worker((shared, chunk))
+def _injected_chunk_fault(payload: Tuple[str, bool]) -> List[Any]:
+    """Module-level (picklable) stand-in for a chunk hit by an injected
+    fault: it runs in the pool worker in place of the real chunk.
+    ``exit_worker`` hard-kills a process-pool worker (the real
+    ``BrokenProcessPool``); otherwise the worker raises."""
+    site, exit_worker = payload
+    if exit_worker:
+        os._exit(43)
+    raise ChaosError(f"injected {site} fault in a pool worker")
 
 
 class ParallelExecutor:
@@ -115,7 +79,6 @@ class ParallelExecutor:
         jobs: int = 1,
         retries: int = 0,
         chunk_timeout: Optional[float] = None,
-        fault_injection: Optional[FaultInjection] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         # InputValidationError subclasses ValueError: pre-taxonomy callers
@@ -136,11 +99,10 @@ class ParallelExecutor:
         self.jobs = jobs
         self.retries = retries
         self.chunk_timeout = chunk_timeout
-        self.fault_injection = fault_injection
-        #: chaos-harness fault plan; ``chunk`` faults are consumed in the
-        #: dispatching process *before* pool submit (a FaultPlan holds a
-        #: lock and cannot be pickled into workers), so they only apply to
-        #: the pooled path, not the serial fast path
+        #: chaos-harness fault plan; ``chunk`` / ``worker-exit`` tokens are
+        #: consumed here in the dispatching process (a FaultPlan holds a
+        #: lock and cannot be pickled into workers) and the fault itself
+        #: fires where the chunk runs
         self.fault_plan = fault_plan
         #: cumulative fault-tolerance accounting across all map_chunks calls
         #: (an executor may be shared by concurrently-scheduled stages, so
@@ -181,6 +143,29 @@ class ParallelExecutor:
 
     # -- dispatch -----------------------------------------------------------
 
+    def _injected_fault(self, idx: int) -> Optional[str]:
+        """Consume the fault plan's token for chunk ``idx``: the site
+        that fails it, or None when the chunk runs normally."""
+        if self.fault_plan is None:
+            return None
+        for site in _CHUNK_SITES:
+            if self.fault_plan.trigger(site, str(idx)) is not None:
+                return site
+        return None
+
+    def _run_in_process(
+        self,
+        worker: Callable[[Tuple[Any, List[Any]]], List[Any]],
+        payload: Tuple[Any, List[Any]],
+        idx: int,
+    ) -> List[Any]:
+        """Run chunk ``idx`` in this process; an injected fault raises
+        here, since exiting would kill the caller."""
+        site = self._injected_fault(idx)
+        if site is not None:
+            raise ChaosError(f"injected {site} fault in chunk {idx}")
+        return list(worker(payload))
+
     def _make_pool(self, workers: int) -> Any:
         if self.backend == "thread":
             from concurrent.futures import ThreadPoolExecutor
@@ -211,22 +196,19 @@ class ParallelExecutor:
         successes: Dict[int, List[Any]] = {}
         failures: List[int] = []
         abandoned = 0
-        to_submit: List[int] = []
-        for idx in indices:
-            if (self.fault_plan is not None
-                    and self.fault_plan.trigger("chunk", str(idx)) is not None):
-                # Injected worker kill: the chunk never reaches the pool,
-                # exactly as if its worker died before reporting back.
-                failures.append(idx)
-            else:
-                to_submit.append(idx)
-        if not to_submit:
-            return successes, failures, abandoned
-        pool = self._make_pool(len(to_submit))
+        pool = self._make_pool(len(indices))
         clean_shutdown = True
         try:
-            futures = [(idx, pool.submit(worker, payloads[idx]))
-                       for idx in to_submit]
+            futures: List[Tuple[int, Any]] = []
+            for idx in indices:
+                site = self._injected_fault(idx)
+                if site is None:
+                    future = pool.submit(worker, payloads[idx])
+                else:
+                    # Exiting is only safe in a worker process of its own.
+                    exit_worker = site == "worker-exit" and self.backend == "process"
+                    future = pool.submit(_injected_chunk_fault, (site, exit_worker))
+                futures.append((idx, future))
             for idx, future in futures:
                 try:
                     successes[idx] = future.result(timeout=self.chunk_timeout)
@@ -266,11 +248,8 @@ class ParallelExecutor:
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.fault_injection is not None:
-            shared = (worker, self.fault_injection, shared)
-            worker = _fault_injected_chunk
         if self.backend == "serial" or self.jobs == 1 or len(tasks) == 1:
-            return list(worker((shared, tasks)))
+            return self._run_in_process(worker, (shared, tasks), 0)
 
         chunks = split_chunks(tasks, self.jobs)
         payloads = [(shared, chunk) for chunk in chunks]
@@ -295,7 +274,7 @@ class ParallelExecutor:
         # chunk order, preserving the task-ordered output exactly.
         for idx in sorted(failed):
             degraded += 1
-            results[idx] = list(worker(payloads[idx]))
+            results[idx] = self._run_in_process(worker, payloads[idx], idx)
 
         with self._stats_lock:
             self.stats["chunk_failures"] += failures

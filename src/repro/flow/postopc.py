@@ -104,12 +104,6 @@ class FlowConfig:
     #: scale path — measurements differ slightly from the tile path
     #: because the FFT window geometry differs, so this is a cache key)
     litho_shards: int = 0
-    #: wall-clock budget for a service job running this config; the
-    #: service watchdog fails the job (exit code 2, reason ``deadline``)
-    #: when exceeded.  None = no per-config deadline (the service default
-    #: or submit-time override may still apply).  Ignored by direct CLI
-    #: ``flow`` runs — deadlines are a service-scheduling concern.
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         # InputValidationError subclasses ValueError, so pre-taxonomy
@@ -139,10 +133,6 @@ class FlowConfig:
             raise InputValidationError(
                 "litho_shards",
                 f"must be >= 0 (0 = tile path), got {self.litho_shards}",
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise InputValidationError(
-                "deadline_s", "must be positive (or None for no deadline)"
             )
 
 
@@ -232,8 +222,9 @@ class PostOpcTimingFlow:
     Construction performs the technology-setup work once (library build,
     characterization, litho calibration); :meth:`run` executes the stage
     graph, re-using artifacts from :attr:`context` wherever a stage's
-    config slice and upstream inputs are unchanged.  ``jobs > 1`` (or an
-    explicit ``executor``) parallelizes the OPC and metrology tile loops.
+    config slice and upstream inputs are unchanged.  A parallel
+    ``executor`` (e.g. ``ParallelExecutor.from_jobs(n)``) parallelizes the
+    OPC and metrology tile loops; the default runs them serially.
     """
 
     def __init__(
@@ -242,7 +233,6 @@ class PostOpcTimingFlow:
         tech: Technology,
         cells: Optional[CellLibrary] = None,
         simulator: Optional[LithographySimulator] = None,
-        jobs: int = 1,
         executor: Optional[ParallelExecutor] = None,
         context: Optional[FlowContext] = None,
         graph: Optional[StageGraph] = None,
@@ -254,7 +244,7 @@ class PostOpcTimingFlow:
         self.liberty = characterize_library(self.cells, self.model)
         self.simulator = simulator or LithographySimulator.for_tech(tech)
         self.simulator.calibrate_to_anchor(tech.rules.gate_length, tech.rules.poly_pitch)
-        self.executor = executor or ParallelExecutor.from_jobs(jobs)
+        self.executor = executor or ParallelExecutor()
         # Not `context or ...`: FlowContext has __len__, so an *empty*
         # (e.g. freshly-opened persistent) context is falsy.
         self.context = context if context is not None else FlowContext()

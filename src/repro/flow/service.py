@@ -22,12 +22,12 @@ Hardening — every job terminates in bounded time with a correct exit
 code, and the service survives ``kill -9`` with no lost work:
 
 * **Deadlines + hung-stage watchdog.**  A job's wall budget is the
-  submit-time ``deadline_s`` override, else ``FlowConfig.deadline_s``,
-  else the service default.  Every journal append is a heartbeat; a
-  single watchdog task cancels jobs past their deadline (reason
-  ``deadline``) or silent longer than ``stage_timeout_s`` (reason
-  ``hung-stage``) — both surface as exit code 2 and the worker moves on
-  to the next job instead of staying pinned.  The abandoned job thread
+  submit-time ``deadline_s`` override, else the service default.  Every
+  journal append is a heartbeat; a single watchdog task cancels jobs
+  past their deadline (reason ``deadline``) or silent longer than
+  ``stage_timeout_s`` (reason ``hung-stage``) — both surface as exit
+  code 2 and the worker moves on to the next job instead of staying
+  pinned.  The abandoned job thread
   is told to stop at its next stage boundary, and the job's journal is
   closed with the terminal record, so the thread cannot write past it.
 * **Per-design circuit breakers.**  ``breaker_threshold`` consecutive
@@ -40,7 +40,7 @@ code, and the service survives ``kill -9`` with no lost work:
   with no terminal record (the previous process died mid-job) and
   re-enqueues them through the same manifest check as ``--resume``;
   pre-crash stages replay from the shared artifact cache.
-* **Bounded stop.**  :meth:`stop` drains for at most ``drain_timeout``,
+* **Bounded stop.**  :meth:`stop` drains for at most ``drain_timeout_s``,
   then cancels stuck jobs (reason ``stopped``) and finally the workers
   themselves — it never gathers forever.
 
@@ -89,6 +89,9 @@ from repro.flow.sweep import SweepResult
 
 #: service job directories under ``run_root`` (the orphan-scan pattern)
 _JOB_DIR = re.compile(r"^job-(\d+)$")
+
+#: how often the watchdog checks running jobs' deadlines and heartbeats
+WATCHDOG_POLL_S = 0.05
 
 
 class CircuitBreaker:
@@ -173,11 +176,11 @@ class Job:
     #: the Python result object, for in-process callers
     result: Optional[Union[FlowReport, SweepResult]] = None
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
-    #: effective wall budget (submit override > config > service default)
+    #: effective wall budget (submit override > service default)
     deadline_s: Optional[float] = None
     #: True for an orphan re-enqueued from a pre-crash journal
     resumed: bool = False
-    #: watchdog bookkeeping (service time_fn clock)
+    #: watchdog bookkeeping (time.monotonic clock)
     started_at: Optional[float] = None
     last_beat: Optional[float] = None
     #: why the watchdog/stop cancelled the job ("deadline" |
@@ -219,19 +222,18 @@ class FlowService:
 
     Hardening knobs (all keyword-only):
 
-    * ``deadline_s`` — default per-job wall budget (submit-time and
-      config overrides win);
+    * ``deadline_s`` — default per-job wall budget (a submit-time
+      ``deadline_s`` wins);
     * ``stage_timeout_s`` — hung-stage watchdog: max silence between
       journal heartbeats (requires ``run_root``, where the heartbeats
       come from);
-    * ``watchdog_poll_s`` — watchdog poll interval;
     * ``breaker_threshold`` / ``breaker_cooldown_s`` — per-design
       circuit breaker;
-    * ``drain_timeout_s`` — default bound on :meth:`stop`;
+    * ``drain_timeout_s`` — the bound on :meth:`stop` (None = wait
+      forever);
     * ``fault_plan`` — chaos harness: injected journal-write and
       socket-drop faults (thread the same plan through the shared
-      context / executor to cover the other sites);
-    * ``time_fn`` — the watchdog/breaker clock, injectable for tests.
+      context / executor to cover the other sites).
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`.
     """
@@ -245,12 +247,10 @@ class FlowService:
         run_root: Optional[str] = None,
         deadline_s: Optional[float] = None,
         stage_timeout_s: Optional[float] = None,
-        watchdog_poll_s: float = 0.1,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 30.0,
         drain_timeout_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        time_fn: Callable[[], float] = time.monotonic,
     ) -> None:
         if not flows:
             raise ValueError("FlowService needs at least one design")
@@ -269,10 +269,6 @@ class FlowService:
                 "stage_timeout_s needs run_root: heartbeats are journal "
                 "appends, and only journaled jobs have a journal"
             )
-        if watchdog_poll_s <= 0:
-            raise ValueError(
-                f"watchdog_poll_s must be positive, got {watchdog_poll_s}"
-            )
         if drain_timeout_s is not None and drain_timeout_s <= 0:
             raise ValueError(
                 f"drain_timeout_s must be positive, got {drain_timeout_s}"
@@ -283,14 +279,11 @@ class FlowService:
         self.run_root = run_root
         self.deadline_s = deadline_s
         self.stage_timeout_s = stage_timeout_s
-        self.watchdog_poll_s = watchdog_poll_s
         self.drain_timeout_s = drain_timeout_s
         self.fault_plan = fault_plan
-        self._time = time_fn
         self.jobs: Dict[str, Job] = {}
         self._breakers: Dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(breaker_threshold, breaker_cooldown_s,
-                                 time_fn=time_fn)
+            name: CircuitBreaker(breaker_threshold, breaker_cooldown_s)
             for name in self.flows
         }
         self._queue: Optional["asyncio.Queue[Optional[Job]]"] = None
@@ -325,21 +318,19 @@ class FlowService:
             self._watchdog(), name="flow-service-watchdog"
         )
 
-    async def stop(self, drain_timeout: Optional[float] = None) -> None:
+    async def stop(self) -> None:
         """Stop accepting work; drain for a bounded time, then cancel.
 
         Jobs still queued (never started) are marked failed rather than
-        silently dropped.  Running jobs get ``drain_timeout`` seconds
-        (default :attr:`drain_timeout_s`; None = wait forever) to finish;
-        past that they are cancelled with reason ``stopped`` (exit code
-        2) and, as a last resort, the worker tasks themselves are
-        cancelled — ``stop`` never gathers a wedged pool forever.
+        silently dropped.  Running jobs get :attr:`drain_timeout_s`
+        seconds (None = wait forever) to finish; past that they are
+        cancelled with reason ``stopped`` (exit code 2) and, as a last
+        resort, the worker tasks themselves are cancelled — ``stop``
+        never gathers a wedged pool forever.
         """
         if self._stopped:
             return
         self._stopped = True
-        timeout = drain_timeout if drain_timeout is not None \
-            else self.drain_timeout_s
         assert self._queue is not None
         while True:
             try:
@@ -358,7 +349,7 @@ class FlowService:
             # Not gather(): cancelling a timed-out gather would cancel the
             # workers before the stuck *jobs* were dealt with.
             _, pending = await asyncio.wait(set(self._workers),
-                                            timeout=timeout)
+                                            timeout=self.drain_timeout_s)
             if pending:
                 for job in self._active:
                     if (job is not None and job.task is not None
@@ -431,7 +422,8 @@ class FlowService:
         design = str(manifest.get("design", ""))
         job = Job(id=job_id, design=design,
                   op=str(manifest.get("op", "flow")),
-                  config=FlowConfig(), resumed=True)
+                  config=FlowConfig(), deadline_s=self.deadline_s,
+                  resumed=True)
         flow = self.flows.get(design)
         if flow is None:
             return self._fail_orphan(
@@ -454,8 +446,6 @@ class FlowService:
         except (ServiceRejectedError, InputValidationError) as exc:
             return self._fail_orphan(job, f"orphan not resumable: {exc}")
         job.config = config
-        job.deadline_s = config.deadline_s \
-            if config.deadline_s is not None else self.deadline_s
         return job
 
     def _fail_orphan(self, job: Job, message: str) -> Job:
@@ -488,8 +478,7 @@ class FlowService:
         (``circuit-open``, carrying ``retry_after``), or the bounded
         queue is full (``queue-full``).
 
-        ``deadline_s`` overrides both ``config.deadline_s`` and the
-        service default for this job only.
+        ``deadline_s`` overrides the service default for this job only.
         """
         if self._stopped or self._queue is None:
             raise ServiceRejectedError("stopped", "service is not running")
@@ -514,15 +503,11 @@ class FlowService:
                 f"failures; retry in {retry_after:.1f}s",
                 retry_after=retry_after,
             )
-        config = config if config is not None else FlowConfig()
-        if deadline_s is not None:
-            effective: Optional[float] = deadline_s
-        elif config.deadline_s is not None:
-            effective = config.deadline_s
-        else:
-            effective = self.deadline_s
-        job = Job(id="", design=design, op=op, config=config,
-                  deadline_s=effective)
+        if deadline_s is None:
+            deadline_s = self.deadline_s
+        job = Job(id="", design=design, op=op,
+                  config=config if config is not None else FlowConfig(),
+                  deadline_s=deadline_s)
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
@@ -637,7 +622,7 @@ class FlowService:
 
     def _beat(self, job: Job) -> None:
         """Journal-append heartbeat: the job's flow thread is alive."""
-        job.last_beat = self._time()
+        job.last_beat = time.monotonic()
 
     async def _run_job(self, job: Job) -> None:
         flow = self.flows[job.design]
@@ -732,7 +717,7 @@ class FlowService:
                 self._queue.task_done()
                 return
             job.state = "running"
-            job.started_at = self._time()
+            job.started_at = time.monotonic()
             job.last_beat = job.started_at
             self._active[index] = job
             task = asyncio.create_task(
@@ -762,7 +747,7 @@ class FlowService:
         next stage boundary (see :meth:`_run_job`).
         """
         while not self._stopped:
-            now = self._time()
+            now = time.monotonic()
             for job in list(self._active):
                 if job is None or job.task is None or job.task.done():
                     continue
@@ -778,7 +763,7 @@ class FlowService:
                     else:
                         continue
                 job.task.cancel()
-            await asyncio.sleep(self.watchdog_poll_s)
+            await asyncio.sleep(WATCHDOG_POLL_S)
 
     # -- socket front-end ----------------------------------------------------
 

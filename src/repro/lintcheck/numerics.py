@@ -340,13 +340,21 @@ class _AxisTracker:
                         if isinstance(element, ast.Name):
                             self.env.pop(element.id, None)
         else:
-            for child in ast.walk(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child)
-                    break  # _eval walks its own subtree via BinOp recursion
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.stmt):
-                    self._stmt(child)
+            self._children(stmt)
+
+    def _children(self, node: ast.AST) -> None:
+        """Evaluate every child expression of ``node`` (a ``for`` target
+        and its iterable, an augmented assignment's target and value, ...)
+        and track its child statements, through ``with`` items, ``except``
+        handlers and ``match`` cases; _eval walks each expression's own
+        subtree."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self._eval(child)
+            elif isinstance(child, ast.stmt):
+                self._stmt(child)
+            else:
+                self._children(child)
 
     def _eval(self, expr: ast.expr) -> Optional[str]:
         if isinstance(expr, ast.Call):

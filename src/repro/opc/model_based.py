@@ -62,23 +62,6 @@ class OpcResult:
         return self.epe_history[-1][1] if self.epe_history else float("nan")
 
 
-def measure_epe(
-    latent: AerialImage,
-    threshold: float,
-    fragment: Fragment,
-    search: float = 80.0,
-    samples: int = 41,
-) -> Optional[float]:
-    """Signed edge-placement error at a fragment's control point.
-
-    Positive EPE means the printed edge lies *outside* the drawn edge
-    (feature prints too big); negative means pullback.  Returns None when
-    no printed edge crosses the search span (catastrophic failure: the
-    feature vanished or merged at this site).
-    """
-    return measure_epes(latent, threshold, [fragment], search, samples)[0]
-
-
 def measure_epes(
     latent: AerialImage,
     threshold: float,
@@ -86,7 +69,14 @@ def measure_epes(
     search: float = 80.0,
     samples: int = 41,
 ) -> List[Optional[float]]:
-    """Batched :func:`measure_epe` — one interpolation call for all sites."""
+    """Signed edge-placement error at each fragment's control point, from
+    one interpolation call for all sites.
+
+    Positive EPE means the printed edge lies *outside* the drawn edge
+    (feature prints too big); negative means pullback.  An entry is None
+    when no printed edge crosses that site's search span (catastrophic
+    failure: the feature vanished or merged there).
+    """
     if not fragments:
         return []
     positions = np.linspace(-search, search, samples)

@@ -11,8 +11,10 @@ hardening"):
   counts it;
 * ``stage-hang``            -> hung-stage watchdog fails the job
   (exit 2) and the worker moves on to the next queued job;
-* ``chunk`` (worker kill)   -> retried, bit-identical results;
-* ``socket`` drop           -> client sees EOF, reconnect works.
+* ``chunk`` (worker raise)  -> retried, bit-identical results;
+* ``socket`` drop           -> client sees EOF, reconnect works;
+* ``worker-exit``           -> broken process pool, retried,
+  bit-identical results.
 
 Deadlines, the circuit-breaker state machine, and orphan-job recovery
 ride the same harness.  Every fault is seeded through
@@ -257,7 +259,7 @@ class TestServiceFaults:
                 # staying far below the 30s injected hang.
                 async with FlowService(
                     flows, workers=1, run_root=str(tmp_path),
-                    stage_timeout_s=4.0, watchdog_poll_s=0.05,
+                    stage_timeout_s=4.0,
                 ) as service:
                     # The queued job must not share the hung stage's
                     # artifact key (seed 4 hangs "opc", and opc_mode is in
@@ -301,7 +303,7 @@ class TestServiceFaults:
         ctx = flows["c17"].context
 
         async def scenario():
-            service = FlowService(flows, workers=1)
+            service = FlowService(flows, workers=1, drain_timeout_s=0.1)
             await service.start()
             try:
                 job = service.submit("c17", config=FAST)
@@ -310,7 +312,7 @@ class TestServiceFaults:
                     assert waited < 300, "metrology never started"
                     await asyncio.sleep(0.01)
                     waited += 0.01
-                await service.stop(drain_timeout=0.1)
+                await service.stop()
                 return service.status(job)
             finally:
                 plan.release()  # the hung stage finishes on its thread
@@ -330,9 +332,7 @@ class TestServiceFaults:
 
         async def scenario():
             try:
-                async with FlowService(
-                    flows, workers=1, watchdog_poll_s=0.05,
-                ) as service:
+                async with FlowService(flows, workers=1) as service:
                     job = service.submit("c17", config=FAST, deadline_s=0.2)
                     report = await service.report(job, timeout=600)
                     with pytest.raises(ServiceRejectedError) as excinfo:
@@ -347,24 +347,6 @@ class TestServiceFaults:
         assert report["reason"] == "deadline"
         assert "deadline exceeded" in report["error"]
         assert reason == "deadline"
-
-    def test_config_deadline_is_honored_too(self, tech, lib):
-        config = FlowConfig(opc_mode="rule", clock_period_ps=500,
-                            deadline_s=0.2)
-
-        plan, flows = _flows_hanging_in_metrology(tech, lib)
-
-        async def scenario():
-            try:
-                async with FlowService(flows, watchdog_poll_s=0.05) as service:
-                    job = service.submit("c17", config=config)
-                    return await service.report(job, timeout=600)
-            finally:
-                plan.release()
-
-        report = asyncio.run(scenario())
-        assert report["state"] == "failed"
-        assert report["reason"] == "deadline"
 
     def test_breaker_opens_after_failures_and_probe_recovers(
         self, tech, lib
@@ -435,14 +417,42 @@ def _triple_chunk(payload):
     return [shared * x for x in chunk]
 
 
+def _pool_futures(monkeypatch):
+    """Record every future the executor's pools hand out, so a test can
+    see which chunk failed inside a pool worker."""
+    futures = []
+    make_pool = ParallelExecutor._make_pool
+
+    def recording_pool(self, workers):
+        pool = make_pool(self, workers)
+        submit = pool.submit
+
+        def recording_submit(*args, **kwargs):
+            future = submit(*args, **kwargs)
+            futures.append(future)
+            return future
+
+        pool.submit = recording_submit
+        return pool
+
+    monkeypatch.setattr(ParallelExecutor, "_make_pool", recording_pool)
+    return futures
+
+
+def _worker_errors(futures):
+    return [f.exception() for f in futures
+            if f.done() and not f.cancelled() and f.exception() is not None]
+
+
 class TestChunkFaults:
-    def test_injected_worker_kill_is_retried_bit_identical(self):
+    def test_injected_worker_kill_is_retried_bit_identical(self, monkeypatch):
         plan, spec = FaultPlan.seeded(5)
         assert spec.site == "chunk"
         tasks = list(range(23))
         expected = ParallelExecutor("serial").map_chunks(
             _triple_chunk, 3, tasks
         )
+        futures = _pool_futures(monkeypatch)
         ex = ParallelExecutor("thread", jobs=4, retries=1, fault_plan=plan)
         counters = {}
         got = ex.map_chunks(_triple_chunk, 3, tasks, counters=counters)
@@ -452,6 +462,30 @@ class TestChunkFaults:
         assert ex.stats["retries"] == 1
         assert ex.stats["abandoned"] == 0
         assert counters["worker_failures"] == 1
+        # The fault fired inside a pool worker: 4 chunks + 1 retry were
+        # submitted, and one came back raising the injected error.
+        assert len(futures) == 5
+        errors = _worker_errors(futures)
+        assert len(errors) == 1
+        assert isinstance(errors[0], ChaosError)
+        assert "in a pool worker" in str(errors[0])
+
+    def test_worker_exit_breaks_the_process_pool(self, monkeypatch):
+        plan, spec = FaultPlan.seeded(7)
+        assert spec.site == "worker-exit"
+        tasks = list(range(23))
+        expected = ParallelExecutor("serial").map_chunks(
+            _triple_chunk, 3, tasks
+        )
+        futures = _pool_futures(monkeypatch)
+        ex = ParallelExecutor("process", jobs=3, retries=1, fault_plan=plan)
+        assert ex.map_chunks(_triple_chunk, 3, tasks) == expected
+        assert plan.fired["worker-exit"] == 1
+        assert ex.stats["chunk_failures"] >= 1
+        assert ex.stats["degraded_chunks"] == 0
+        # a real worker process died: the pool reported itself broken
+        assert any(type(error).__name__ == "BrokenProcessPool"
+                   for error in _worker_errors(futures))
 
 
 # -- crash recovery -----------------------------------------------------------
@@ -500,7 +534,9 @@ class TestOrphanRecovery:
         ]
         assert "resumed" in types and types[-1] == "complete"
 
-    @pytest.mark.parametrize("stale", ["fingerprint", "retired_wire_field"])
+    @pytest.mark.parametrize(
+        "stale", ["fingerprint", "retired_wire_field", "retired_deadline"]
+    )
     def test_unresumable_orphan_fails_terminally(
         self, tech, lib, tmp_path, stale
     ):
@@ -508,9 +544,12 @@ class TestOrphanRecovery:
         manifest = _orphan_manifest(flows["c17"], FAST)
         if stale == "fingerprint":
             manifest["fingerprint"] = "deadbeef"  # a different build's run
-        else:
+        elif stale == "retired_wire_field":
             # a journal written while incremental_sta was still a wire field
             manifest["config_wire"]["incremental_sta"] = True
+        else:
+            # a journal written while FlowConfig still had deadline_s
+            manifest["config_wire"]["deadline_s"] = None
         journal = RunJournal.create(str(tmp_path / "job-0009"), manifest)
         journal.close()
 

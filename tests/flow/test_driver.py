@@ -113,7 +113,6 @@ class TestCliRunDir:
             "opc_mode": "none", "clock_period_ps": 500.0,
             "n_critical_paths": 5, "n_slices": 5, "use_routing": False,
             "max_quarantine_fraction": 0.5, "litho_shards": 0,
-            "deadline_s": None,
         }
         modes = [r for r in records if r["type"] == "mode"]
         assert [(m["mode"], m["status"]) for m in modes] == [

@@ -4,16 +4,25 @@ A chunk that raises, hard-kills its worker (BrokenProcessPool), or times
 out is retried in a fresh pool and finally degraded to serial in-process
 execution; results stay bit-identical to the serial reference and every
 failure is counted on the executor and the stage trace.  Faults are
-injected deterministically through the :class:`FaultInjection` hook.
+injected deterministically through a :class:`FaultPlan`: ``chunk`` makes
+the pool worker raise, ``worker-exit`` makes a process-pool worker exit.
 """
 
+import os
 import time
 
 import pytest
 
 from repro.cells import build_library
 from repro.circuits import c17
-from repro.flow import FaultInjection, FlowConfig, ParallelExecutor, PostOpcTimingFlow
+from repro.flow import (
+    ChaosError,
+    FaultPlan,
+    FaultSpec,
+    FlowConfig,
+    ParallelExecutor,
+    PostOpcTimingFlow,
+)
 from repro.litho import LithographySimulator
 from repro.pdk import make_tech_90nm
 
@@ -34,12 +43,29 @@ def _scale_chunk(payload):
     return [shared * x for x in chunk]
 
 
+def _first_call(marker_dir):
+    """True for the first caller across all processes (exclusive-create
+    marker file), False for every later one."""
+    try:
+        fd = os.open(os.path.join(marker_dir, "slow"),
+                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.close(fd)
+    return True
+
+
 def _slow_scale_chunk(payload):
-    """Sleeps ``delay`` seconds once (first marker claim), then is fast."""
-    (injection, delay, factor), chunk = payload
-    if injection.claim_token() is not None:
+    """Sleeps ``delay`` seconds once (the first call anywhere), then is
+    fast."""
+    (marker_dir, delay, factor), chunk = payload
+    if _first_call(marker_dir):
         time.sleep(delay)
     return [factor * x for x in chunk]
+
+
+def _plan(site="chunk", times=1, match=""):
+    return FaultPlan([FaultSpec(site=site, match=match, times=times)])
 
 
 def small_tile_simulator(tech):
@@ -54,53 +80,68 @@ EXPECTED = [3 * x for x in TASKS]
 
 
 class TestExecutorRetry:
-    def test_injected_raise_is_retried(self, tmp_path):
-        ex = ParallelExecutor("process", 2, retries=2,
-                              fault_injection=FaultInjection(str(tmp_path), 1))
+    def test_injected_raise_is_retried(self):
+        plan = _plan()
+        ex = ParallelExecutor("process", 2, retries=2, fault_plan=plan)
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
+        assert plan.fired == {"chunk": 1}
         assert ex.stats["chunk_failures"] == 1
         assert ex.stats["retries"] == 1
         assert ex.stats["degraded_chunks"] == 0
 
-    def test_thread_backend_retries_too(self, tmp_path):
-        ex = ParallelExecutor("thread", 2, retries=1,
-                              fault_injection=FaultInjection(str(tmp_path), 1))
+    def test_thread_backend_retries_too(self):
+        ex = ParallelExecutor("thread", 2, retries=1, fault_plan=_plan())
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
         assert ex.stats["retries"] == 1
 
-    def test_exhausted_retries_degrade_to_serial(self, tmp_path):
-        ex = ParallelExecutor("process", 2, retries=0,
-                              fault_injection=FaultInjection(str(tmp_path), 1))
+    def test_exhausted_retries_degrade_to_serial(self):
+        ex = ParallelExecutor("process", 2, retries=0, fault_plan=_plan())
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
         assert ex.stats["degraded_chunks"] == 1
 
-    def test_worker_crash_breaks_pool_and_recovers(self, tmp_path):
-        injection = FaultInjection(str(tmp_path), 1, kind="exit")
-        ex = ParallelExecutor("process", 3, retries=2, fault_injection=injection)
+    def test_worker_crash_breaks_pool_and_recovers(self):
+        plan = _plan("worker-exit")
+        ex = ParallelExecutor("process", 3, retries=2, fault_plan=plan)
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
+        assert plan.fired == {"worker-exit": 1}
         assert ex.stats["chunk_failures"] >= 1
         assert ex.stats["retries"] >= 1
 
-    def test_counters_dict_receives_accounting(self, tmp_path):
-        ex = ParallelExecutor("process", 2, retries=1,
-                              fault_injection=FaultInjection(str(tmp_path), 1))
+    def test_worker_exit_raises_in_a_thread_pool(self):
+        # Exiting a pool thread would kill the caller: the fault raises.
+        ex = ParallelExecutor("thread", 2, retries=1,
+                              fault_plan=_plan("worker-exit"))
+        assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
+        assert ex.stats["chunk_failures"] == 1
+        assert ex.stats["retries"] == 1
+
+    def test_counters_dict_receives_accounting(self):
+        ex = ParallelExecutor("process", 2, retries=1, fault_plan=_plan())
         counters = {}
         ex.map_chunks(_scale_chunk, 3, TASKS, counters=counters)
         assert counters["worker_failures"] == 1
         assert counters["worker_retries"] == 1
         assert counters["worker_degraded"] == 0
 
-    def test_persistent_fault_exhausts_and_propagates(self, tmp_path):
-        # More faults than (first try + retries + serial fallback) calls of
-        # the failing chunk: even the degraded serial run raises.
-        ex = ParallelExecutor("process", jobs=1, retries=0,
-                              fault_injection=FaultInjection(str(tmp_path), 99))
-        with pytest.raises(RuntimeError, match="injected"):
+    def test_persistent_fault_exhausts_and_propagates(self):
+        # Chunk 0 fails its first try, its retry and its serial fallback:
+        # the in-process fallback raises, so the fault propagates.
+        plan = _plan(times=99, match="0")
+        ex = ParallelExecutor("process", 2, retries=1, fault_plan=plan)
+        with pytest.raises(ChaosError, match="injected chunk fault in chunk 0"):
             ex.map_chunks(_scale_chunk, 3, TASKS)
+        assert plan.fired == {"chunk": 3}
+
+    def test_serial_path_raises_in_process(self):
+        plan = _plan(times=99)
+        with pytest.raises(ChaosError, match="injected chunk fault"):
+            ParallelExecutor("serial", fault_plan=plan).map_chunks(
+                _scale_chunk, 3, TASKS)
+        assert plan.fired == {"chunk": 1}
 
     def test_chunk_timeout_fails_and_retries(self, tmp_path):
         ex = ParallelExecutor("process", 2, retries=1, chunk_timeout=0.8)
-        shared = (FaultInjection(str(tmp_path), 1), 4.0, 3)
+        shared = (str(tmp_path), 4.0, 3)
         assert ex.map_chunks(_slow_scale_chunk, shared, TASKS) == EXPECTED
         assert ex.stats["chunk_failures"] == 1
         assert ex.stats["retries"] == 1
@@ -109,7 +150,7 @@ class TestExecutorRetry:
         # A timed-out thread cannot be killed; the round gives up on it
         # and the leak is counted so operators can see thread pressure.
         ex = ParallelExecutor("thread", 2, retries=0, chunk_timeout=0.2)
-        shared = (FaultInjection(str(tmp_path), 1), 2.0, 3)
+        shared = (str(tmp_path), 2.0, 3)
         counters = {}
         assert ex.map_chunks(_slow_scale_chunk, shared, TASKS,
                              counters=counters) == EXPECTED
@@ -122,25 +163,21 @@ class TestExecutorRetry:
             ParallelExecutor("process", 2, retries=-1)
         with pytest.raises(ValueError):
             ParallelExecutor("process", 2, chunk_timeout=0.0)
-        with pytest.raises(ValueError):
-            FaultInjection("/tmp", 1, kind="segfault")
 
 
 class TestFaultTolerantFlow:
-    def test_crashed_worker_flow_matches_serial(self, tech, lib, tmp_path):
-        """The acceptance scenario: an injected first-call worker crash,
-        and the run completes bit-identical to serial with the retry
-        recorded in the trace."""
+    def test_crashed_worker_flow_matches_serial(self, tech, lib):
+        """The acceptance scenario: the first dispatched chunk's worker
+        process exits, and the run completes bit-identical to serial with
+        the retry recorded in the trace."""
         config = FlowConfig(opc_mode="none", clock_period_ps=500)
         serial = PostOpcTimingFlow(c17(lib), tech, cells=lib,
                                    simulator=small_tile_simulator(tech))
         ref = serial.run(config)
         assert ref.trace.record_for("metrology").counters["tiles"] > 1
 
-        executor = ParallelExecutor(
-            "process", 2, retries=2,
-            fault_injection=FaultInjection(str(tmp_path), 1),
-        )
+        plan = _plan("worker-exit")
+        executor = ParallelExecutor("process", 2, retries=2, fault_plan=plan)
         faulty = PostOpcTimingFlow(c17(lib), tech, cells=lib,
                                    simulator=small_tile_simulator(tech),
                                    executor=executor)
@@ -153,8 +190,9 @@ class TestFaultTolerantFlow:
         for name, m in ref.measurements.items():
             assert got.measurements[name].slice_cds == m.slice_cds
 
+        assert plan.fired == {"worker-exit": 1}
         counters = got.trace.record_for("metrology").counters
-        assert counters["worker_failures"] == 1
-        assert counters["worker_retries"] == 1
+        # The broken pool fails every chunk still in it, so at least one.
+        assert counters["worker_failures"] >= 1
+        assert counters["worker_retries"] == counters["worker_failures"]
         assert counters["worker_degraded"] == 0
-        assert executor.stats["retries"] == 1

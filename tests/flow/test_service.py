@@ -299,6 +299,15 @@ class TestSocketProtocol:
                 assert not bad_deadline["ok"]
                 assert bad_deadline["reason"] == "bad-config"
 
+                # a deadline is a submit field, never a config field
+                config_deadline = await rpc({
+                    "op": "submit", "design": "c17",
+                    "config": {"opc_mode": "rule", "deadline_s": 5},
+                })
+                assert not config_deadline["ok"]
+                assert config_deadline["reason"] == "bad-config"
+                assert "deadline_s" in config_deadline["error"]
+
                 submitted = await rpc({
                     "op": "submit", "design": "c17",
                     "config": {"opc_mode": "rule", "clock_period_ps": 500},

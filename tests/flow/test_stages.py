@@ -200,14 +200,14 @@ class TestSerialParallelParity:
         config = FlowConfig(opc_mode="selective", clock_period_ps=500,
                             n_critical_paths=2)
         out = {}
-        for label, kwargs in {
-            "serial": dict(jobs=1),
-            "process": dict(jobs=2),
-            "thread": dict(executor=ParallelExecutor("thread", 2)),
+        for label, executor in {
+            "serial": ParallelExecutor.from_jobs(1),
+            "process": ParallelExecutor.from_jobs(2),
+            "thread": ParallelExecutor("thread", 2),
         }.items():
             flow = PostOpcTimingFlow(c17(lib), tech, cells=lib,
                                      simulator=small_tile_simulator(tech),
-                                     **kwargs)
+                                     executor=executor)
             out[label] = flow.run(config)
         return out
 

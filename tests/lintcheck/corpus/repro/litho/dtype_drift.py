@@ -38,3 +38,16 @@ def safe_grid(nx: int, ny: int, pixel: float) -> np.ndarray:
     fy = np.fft.fftfreq(ny, d=pixel)
     fxg, fyg = np.meshgrid(fx, fy)
     return fxg * fxg + fyg * fyg
+
+
+def crossed_axes_loop(nx: int, ny: int) -> np.ndarray:
+    total = np.zeros(1)
+    for v in np.fft.fftfreq(nx) + np.fft.fftfreq(ny):  # -> silent-broadcast
+        total += v
+    return total
+
+
+def crossed_axes_accumulate(nx: int, ny: int) -> np.ndarray:
+    total = np.zeros(1)
+    total += np.fft.fftfreq(nx) * np.fft.fftfreq(ny)  # -> silent-broadcast
+    return total

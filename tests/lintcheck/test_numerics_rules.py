@@ -115,6 +115,28 @@ class TestSilentBroadcast:
         """, BROADCAST)
         assert found == []
 
+    def test_every_expression_of_a_statement_is_checked(self):
+        # a for loop's iterable comes after its target, an augmented
+        # assignment's value after its target, a with item sits below a
+        # withitem node: each crossed product must still be found
+        found = lint("""
+            import numpy as np
+
+            def f(nx, ny, sink):
+                total = np.zeros(1)
+                for v in np.fft.fftfreq(nx) + np.fft.fftfreq(ny):
+                    total += v
+                total += np.fft.fftfreq(nx) * np.fft.fftfreq(ny)
+                with sink(np.arange(nx) - np.arange(ny)):
+                    pass
+                return total
+        """, BROADCAST)
+        assert [(f.rule, f.line) for f in found] == [
+            ("silent-broadcast", 6),
+            ("silent-broadcast", 8),
+            ("silent-broadcast", 9),
+        ]
+
     def test_slicing_clears_the_tag(self):
         found = lint("""
             import numpy as np
