@@ -257,33 +257,36 @@ class ParallelExecutor:
         pending = list(range(len(chunks)))
         failures = retried = degraded = abandoned = 0
 
-        successes, failed, left_running = self._run_round(worker, payloads, pending)
-        results.update(successes)
-        failures += len(failed)
-        abandoned += left_running
-        for _ in range(self.retries):
-            if not failed:
-                break
-            retried += len(failed)
-            successes, failed, left_running = self._run_round(worker, payloads, failed)
+        try:
+            successes, failed, left_running = self._run_round(worker, payloads, pending)
             results.update(successes)
             failures += len(failed)
             abandoned += left_running
+            for _ in range(self.retries):
+                if not failed:
+                    break
+                retried += len(failed)
+                successes, failed, left_running = self._run_round(worker, payloads, failed)
+                results.update(successes)
+                failures += len(failed)
+                abandoned += left_running
 
-        # Last resort: the failed chunks run serially in this process, in
-        # chunk order, preserving the task-ordered output exactly.
-        for idx in sorted(failed):
-            degraded += 1
-            results[idx] = self._run_in_process(worker, payloads[idx], idx)
-
-        with self._stats_lock:
-            self.stats["chunk_failures"] += failures
-            self.stats["retries"] += retried
-            self.stats["degraded_chunks"] += degraded
-            self.stats["abandoned"] += abandoned
-        if counters is not None:
-            counters["worker_failures"] = counters.get("worker_failures", 0) + failures
-            counters["worker_retries"] = counters.get("worker_retries", 0) + retried
-            counters["worker_degraded"] = counters.get("worker_degraded", 0) + degraded
-            counters["worker_abandoned"] = counters.get("worker_abandoned", 0) + abandoned
+            # Last resort: the failed chunks run serially in this process, in
+            # chunk order, preserving the task-ordered output exactly.
+            for idx in sorted(failed):
+                degraded += 1
+                results[idx] = self._run_in_process(worker, payloads[idx], idx)
+        finally:
+            # Merged even when the fallback raises: the failures that end a
+            # call are the ones the health counters must show.
+            with self._stats_lock:
+                self.stats["chunk_failures"] += failures
+                self.stats["retries"] += retried
+                self.stats["degraded_chunks"] += degraded
+                self.stats["abandoned"] += abandoned
+            if counters is not None:
+                counters["worker_failures"] = counters.get("worker_failures", 0) + failures
+                counters["worker_retries"] = counters.get("worker_retries", 0) + retried
+                counters["worker_degraded"] = counters.get("worker_degraded", 0) + degraded
+                counters["worker_abandoned"] = counters.get("worker_abandoned", 0) + abandoned
         return [result for idx in range(len(chunks)) for result in results[idx]]

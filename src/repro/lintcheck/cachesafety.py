@@ -590,14 +590,26 @@ class StageEdgeContractRule(ProjectRule):
 def stage_shape(project: Project, analysis: StageAnalysis) -> str:
     """Content hash of the ``run()``-reachable code of one stage:
     AST dumps of every reachable function plus the module constants they
-    reference.  Formatting and comments do not move it; logic does."""
+    reference.  Formatting and comments do not move it; logic does.
+
+    Reachable means the role walk's functions plus every function they
+    name in a statically resolvable call or reference, whatever the
+    arguments: ``run_hold(flow.engine, ...)`` passes no role, and the
+    worker handed to ``map_chunks`` is never called by name, yet both
+    decide the stage's artifact."""
     assert analysis.scan is not None
+
+    def referenced(func: FunctionInfo) -> List[FunctionInfo]:
+        refs = (project.resolve_call(func, node) for node in ast.walk(func.node)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load))
+        return [callee for callee in refs if callee is not None]
+
+    seeds = [project.functions[name] for name in sorted(analysis.scan.visited)]
+    reached = walk_calls(seeds, referenced, key=lambda func: func.qualname)
     parts: List[str] = []
-    for qualname in sorted(analysis.scan.visited):
-        func = project.functions.get(qualname)
-        if func is None:
-            continue
-        parts.append(f"{qualname}\x1e{ast.dump(func.node)}")
+    for func in sorted(reached, key=lambda func: func.qualname):
+        parts.append(f"{func.qualname}\x1e{ast.dump(func.node)}")
         for module, name, dump in project.referenced_module_constants(func):
             parts.append(f"{module}.{name}\x1e{dump}")
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8"))

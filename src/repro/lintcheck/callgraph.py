@@ -302,7 +302,9 @@ class Project:
         self.classes_by_name.setdefault(node.name, []).append(qualname)
 
     def _index_imports(self, info: ModuleInfo) -> None:
-        package_parts = info.name.split(".")[:-1]
+        package_parts = info.name.split(".")
+        if os.path.basename(info.path) != "__init__.py":
+            package_parts.pop()  # a package's relative imports start at itself
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -439,21 +441,29 @@ class Project:
             if qualname is not None:
                 return self.functions[qualname]
             target = module.imports.get(func.id)
-            if target is not None and target in self.functions:
-                return self.functions[target]
-            return None
+            return self.resolve_import(target) if target is not None else None
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             receiver, method = func.value.id, func.attr
             cls = self._receiver_class(caller, receiver, local_classes)
             if cls is not None:
                 return self.resolve_method(cls, method)
             target = module.imports.get(receiver)
-            if target is not None:
-                qualname = f"{target}.{method}"
-                if qualname in self.functions:
-                    return self.functions[qualname]
-            return None
+            return self.resolve_import(f"{target}.{method}") if target is not None else None
         return None
+
+    def resolve_import(self, target: str) -> Optional[FunctionInfo]:
+        """The function a dotted import target names, following package
+        re-exports: ``repro.timing.run_hold`` is bound in
+        ``repro/timing/__init__.py`` to ``repro.timing.hold.run_hold``."""
+        seen: Set[str] = set()
+        while target not in self.functions:
+            module_name, _, name = target.rpartition(".")
+            module = self.modules.get(module_name)
+            if module is None or name not in module.imports or target in seen:
+                return None
+            seen.add(target)
+            target = module.imports[name]
+        return self.functions[target]
 
     def resolve_property(
         self,

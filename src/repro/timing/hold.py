@@ -75,11 +75,10 @@ def run_hold(
             arrivals[(net, transition)] = constraints.input_arrival_ps
             slews[(net, transition)] = constraints.input_slew_ps
 
-    for gate in engine._order:
-        cell = engine.cells[gate.cell_name]
-        lib_cell = engine.liberty[gate.cell_name]
-        derate = derates.get(gate.name, _NO_DERATE)
-        out_net = gate.connections[cell.output]
+    for node in engine.nodes:
+        lib_cell = node.lib_cell
+        derate = derates.get(node.name, _NO_DERATE)
+        out_net = node.out_net
         load = engine.net_load_ff(out_net, constraints, derates)
 
         if lib_cell.is_sequential:
@@ -90,8 +89,7 @@ def run_hold(
                 slews[(out_net, transition)] = constraints.input_slew_ps
             continue
 
-        for arc in lib_cell.arcs:
-            in_net = gate.connections[arc.input_pin]
+        for in_net, arc in node.arcs:
             for in_transition in TRANSITIONS:
                 key_in = (in_net, in_transition)
                 if key_in not in arrivals:
@@ -107,17 +105,12 @@ def run_hold(
                         arrivals[key_out] = candidate
                         slews[key_out] = slew_table.lookup(slews[key_in], load)
 
-    for gate in engine.netlist.gates.values():
-        lib_cell = engine.liberty[gate.cell_name]
-        if not lib_cell.is_sequential:
-            continue
-        cell = engine.cells[gate.cell_name]
-        d_net = gate.connections[cell.inputs[0]]
-        hold = lib_cell.setup_time / 2 or hold_time_ps
+    for node in engine.registers:
+        hold = node.lib_cell.setup_time / 2 or hold_time_ps
         for transition in TRANSITIONS:
-            key = (d_net, transition)
+            key = (node.d_net, transition)
             if key in arrivals:
                 result.endpoints.append(
-                    HoldEndpoint(gate.name, d_net, transition, arrivals[key], hold)
+                    HoldEndpoint(node.name, node.d_net, transition, arrivals[key], hold)
                 )
     return result

@@ -74,32 +74,24 @@ def affected_gates(
     """
     seeds: Set[str] = set(changed_gates)
     for gate_name in changed_gates:
-        gate = engine.netlist.gates[gate_name]
-        cell = engine.cells[gate.cell_name]
-        sink_pins = list(cell.inputs) + ([cell.clock] if cell.clock else [])
-        for pin in sink_pins:
-            driver = engine.driver_name_of(gate.connections[pin])
+        for net in engine.node(gate_name).sink_nets:
+            driver = engine.driver_name_of(net)
             if driver is not None:
                 seeds.add(driver)
 
-    # Downstream closure over the topological order.
+    # Downstream closure over the topological order; registers come first
+    # in it, so every seed's output net is dirty before its first reader.
     affected: Set[str] = set(seeds)
     dirty_nets: Set[str] = set()
-    for gate_name in seeds:
-        gate = engine.netlist.gates[gate_name]
-        cell = engine.cells[gate.cell_name]
-        dirty_nets.add(gate.connections[cell.output])
-    for gate in engine._order:
-        cell = engine.cells[gate.cell_name]
-        if gate.name in affected:
-            dirty_nets.add(gate.connections[cell.output])
+    for node in engine.nodes:
+        if node.name in affected:
+            dirty_nets.add(node.out_net)
             continue
-        if engine.liberty[gate.cell_name].is_sequential:
+        if node.lib_cell.is_sequential:
             continue  # registers bound the cone
-        sink_pins = list(cell.inputs) + ([cell.clock] if cell.clock else [])
-        if any(gate.connections[pin] in dirty_nets for pin in sink_pins):
-            affected.add(gate.name)
-            dirty_nets.add(gate.connections[cell.output])
+        if any(net in dirty_nets for net in node.sink_nets):
+            affected.add(node.name)
+            dirty_nets.add(node.out_net)
     return affected
 
 
@@ -124,14 +116,13 @@ def run_incremental(
     # Clear the cone's output nodes, then re-propagate just those gates in
     # full-run order.  A cone net's single driver is in the cone, so every
     # arc writing it is replayed exactly as the full run replays it.
-    gates = [g for g in engine._order if g.name in cone]
-    for gate in gates:
-        out_net = gate.connections[engine.cells[gate.cell_name].output]
+    nodes = [node for node in engine.nodes if node.name in cone]
+    for node in nodes:
         for transition in TRANSITIONS:
-            result.arrivals.pop((out_net, transition), None)
-            result.slews.pop((out_net, transition), None)
-            result.predecessors.pop((out_net, transition), None)
-    engine._propagate(result, gates, constraints, derates)
+            result.arrivals.pop((node.out_net, transition), None)
+            result.slews.pop((node.out_net, transition), None)
+            result.predecessors.pop((node.out_net, transition), None)
+    engine._propagate(result, nodes, constraints, derates)
     engine._collect_endpoints(result, constraints)
     return result
 

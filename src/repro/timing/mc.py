@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cells import StandardCell
 from repro.circuits import Netlist
@@ -135,6 +135,17 @@ def derate_for_delta_l(cell: StandardCell, delta_l: float, model: AlphaPowerMode
     )
 
 
+def _derates_for(engine: StaEngine, deltas: Mapping[str, float], model: AlphaPowerModel,
+                 base: Mapping[str, InstanceDerate]) -> Dict[str, InstanceDerate]:
+    """Each gate's derate for its delta-L, composed onto its base derate."""
+    derates: Dict[str, InstanceDerate] = {}
+    for node in engine.nodes:
+        sampled = derate_for_delta_l(node.cell, deltas[node.name], model)
+        prior = base.get(node.name)
+        derates[node.name] = sampled if prior is None else compose_derates(prior, sampled)
+    return derates
+
+
 def run_corners(
     engine: StaEngine,
     model: AlphaPowerModel,
@@ -144,13 +155,9 @@ def run_corners(
     """WNS at each classical corner (all instances shifted together)."""
     results: Dict[str, float] = {}
     for corner in corners:
-        derates = {
-            gate.name: derate_for_delta_l(
-                engine.cells[gate.cell_name], corner.delta_l_nm, model
-            )
-            for gate in engine.netlist.gates.values()
-        }
-        results[corner.name] = engine.run(constraints, derates).wns
+        deltas = dict.fromkeys(engine.netlist.gates, corner.delta_l_nm)
+        results[corner.name] = engine.run(
+            constraints, _derates_for(engine, deltas, model, {})).wns
     return results
 
 
@@ -206,16 +213,7 @@ def run_monte_carlo(
     base = base_derates or {}
     for index in range(samples):
         deltas = sample_instance_deltas(engine.netlist, engine.placement, spec, index)
-        derates: Dict[str, InstanceDerate] = {}
-        for gate in engine.netlist.gates.values():
-            sampled = derate_for_delta_l(
-                engine.cells[gate.cell_name], deltas[gate.name], model
-            )
-            prior = base.get(gate.name)
-            if prior is None:
-                derates[gate.name] = sampled
-            else:
-                derates[gate.name] = compose_derates(prior, sampled)
+        derates = _derates_for(engine, deltas, model, base)
         sta = engine.run(constraints, derates)
         result.wns_samples.append(sta.wns)
         result.critical_delay_samples.append(sta.critical_delay)

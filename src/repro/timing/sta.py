@@ -10,12 +10,12 @@ capacitances without re-characterizing the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cells import CellLibrary
-from repro.circuits import Gate, Netlist
+from repro.cells import CellLibrary, StandardCell
+from repro.circuits import Netlist
 from repro.place.placer import Placement
-from repro.timing.liberty import LibertyLibrary
+from repro.timing.liberty import LibertyCell, LibertyLibrary, TimingArc
 from repro.units import Dimensionless, Femtofarads, Picoseconds
 
 TRANSITIONS = ("rise", "fall")
@@ -139,8 +139,24 @@ class StaResult:
         )
 
 
+class TimingNode(NamedTuple):
+    """One gate resolved once against the cell and timing libraries."""
+
+    name: str
+    cell: StandardCell
+    lib_cell: LibertyCell
+    out_net: str
+    sink_nets: Tuple[str, ...]  # input pins' nets, then the clock pin's
+    arcs: Tuple[Tuple[str, TimingArc], ...]  # (input net, arc), lib_cell.arcs order
+    d_net: Optional[str]  # a register's D net; None if combinational
+
+
 class StaEngine:
-    """Timing engine bound to one netlist + characterized library."""
+    """Timing engine bound to one netlist + characterized library.
+
+    ``nodes`` are the gates in topological order (the slew-merge order);
+    ``registers`` are the sequential nodes in netlist order.
+    """
 
     def __init__(
         self,
@@ -156,12 +172,25 @@ class StaEngine:
         self.liberty = liberty
         self.placement = placement
         self.wire_model = wire_model if wire_model is not None else WireModel()
-        self._order = netlist.topological_gates(cells)
-        self._loads = self._build_load_map()
-        self._driver_by_net: Dict[str, str] = {
-            gate.connections[cells[gate.cell_name].output]: gate.name
-            for gate in netlist.gates.values()
-        }
+        self._by_name: Dict[str, TimingNode] = {}
+        self._loads: Dict[str, List[Tuple[str, float]]] = {}  # net -> [(sink, pin cap)]
+        for gate in netlist.gates.values():
+            cell = cells[gate.cell_name]
+            lib_cell = liberty[gate.cell_name]
+            net = gate.connections
+            pins = cell.inputs + [cell.clock] if cell.clock else cell.inputs
+            sink_nets = tuple(map(net.__getitem__, pins))
+            for pin, sink_net in zip(pins, sink_nets):
+                self._loads.setdefault(sink_net, []).append(
+                    (gate.name, lib_cell.capacitance(pin)))
+            self._by_name[gate.name] = TimingNode(
+                gate.name, cell, lib_cell, net[cell.output], sink_nets,
+                tuple([(net[arc.input_pin], arc) for arc in lib_cell.arcs]),
+                net[cell.inputs[0]] if lib_cell.is_sequential else None,
+            )
+        self.nodes = tuple(self._by_name[g.name] for g in netlist.topological_gates(cells))
+        self.registers = tuple(n for n in self._by_name.values() if n.d_net is not None)
+        self._driver_by_net = {n.out_net: n.name for n in self._by_name.values()}
         # Wire lengths: realised routes if provided, HPWL estimate otherwise.
         if net_lengths is not None:
             self._hpwl = dict(net_lengths)
@@ -169,16 +198,6 @@ class StaEngine:
             self._hpwl = self._build_hpwl() if placement is not None else {}
 
     # -- construction helpers ---------------------------------------------
-
-    def _build_load_map(self) -> Dict[str, List[Tuple[str, str]]]:
-        """net -> [(gate, input pin)] sink list."""
-        loads: Dict[str, List[Tuple[str, str]]] = {}
-        for gate in self.netlist.gates.values():
-            cell = self.cells[gate.cell_name]
-            sink_pins = list(cell.inputs) + ([cell.clock] if cell.clock else [])
-            for pin in sink_pins:
-                loads.setdefault(gate.connections[pin], []).append((gate.name, pin))
-        return loads
 
     def _build_hpwl(self) -> Dict[str, float]:
         lengths: Dict[str, float] = {}
@@ -195,6 +214,10 @@ class StaEngine:
             ys = [p.y for p in pts]
             lengths[net] = (max(xs) - min(xs)) + (max(ys) - min(ys))
         return lengths
+
+    def node(self, name: str) -> TimingNode:
+        """The resolved node of gate ``name``."""
+        return self._by_name[name]
 
     def driver_name_of(self, net: str) -> Optional[str]:
         """Name of the gate driving ``net`` (None for primary inputs).
@@ -213,11 +236,8 @@ class StaEngine:
     ) -> float:
         """Total capacitive load on a net: sink pins + wire + PO load."""
         total = 0.0
-        for gate_name, pin in self._loads.get(net, ()):  # pin caps
-            gate = self.netlist.gates[gate_name]
-            lib_cell = self.liberty[gate.cell_name]
-            scale = derates.get(gate_name, _NO_DERATE).cap_scale
-            total += lib_cell.capacitance(pin) * scale
+        for gate_name, cap in self._loads.get(net, ()):  # pin caps
+            total += cap * derates.get(gate_name, _NO_DERATE).cap_scale
         total += self._hpwl.get(net, 0.0) * self.wire_model.c_per_nm
         if net in self.netlist.outputs:
             total += constraints.output_load_ff
@@ -250,31 +270,30 @@ class StaEngine:
                 slews[(net, transition)] = constraints.input_slew_ps
                 result.predecessors[(net, transition)] = None
 
-        self._propagate(result, self._order, constraints, derates)
+        self._propagate(result, self.nodes, constraints, derates)
         self._collect_endpoints(result, constraints)
         return result
 
     def _propagate(
         self,
         result: StaResult,
-        gates: Sequence[Gate],
+        nodes: Sequence[TimingNode],
         constraints: TimingConstraints,
         derates: Mapping[str, InstanceDerate],
     ) -> None:
-        """Propagate arrivals, slews and predecessors through ``gates``.
+        """Propagate arrivals, slews and predecessors through ``nodes``.
 
-        ``gates`` must be in topological order.  Their input nodes are read
+        ``nodes`` must be in topological order.  Their input nodes are read
         from ``result``: primary inputs seeded by :meth:`run`, or nodes an
         incremental re-time kept from an earlier run outside its cone.
         """
         arrivals = result.arrivals
         slews = result.slews
 
-        for gate in gates:
-            cell = self.cells[gate.cell_name]
-            lib_cell = self.liberty[gate.cell_name]
-            derate = derates.get(gate.name, _NO_DERATE)
-            out_net = gate.connections[cell.output]
+        for node in nodes:
+            lib_cell = node.lib_cell
+            derate = derates.get(node.name, _NO_DERATE)
+            out_net = node.out_net
             load = self.net_load_ff(out_net, constraints, derates)
 
             if lib_cell.is_sequential:
@@ -287,8 +306,7 @@ class StaEngine:
                     result.predecessors[(out_net, transition)] = None
                 continue
 
-            for arc in lib_cell.arcs:
-                in_net = gate.connections[arc.input_pin]
+            for in_net, arc in node.arcs:
                 for in_transition in TRANSITIONS:
                     key_in = (in_net, in_transition)
                     if key_in not in arrivals:
@@ -306,7 +324,7 @@ class StaEngine:
                             arrivals[key_out] = candidate
                             slews[key_out] = out_slew
                             result.predecessors[key_out] = (
-                                in_net, in_transition, gate.name, delay
+                                in_net, in_transition, node.name, delay
                             )
                         elif key_out in slews:
                             # Worst-slew merge, the conservative STA habit.
@@ -324,18 +342,13 @@ class StaEngine:
                         Endpoint(net, transition, result.arrivals[key], period)
                     )
         # DFF D pins are capture endpoints.
-        for gate in self.netlist.gates.values():
-            lib_cell = self.liberty[gate.cell_name]
-            if not lib_cell.is_sequential:
-                continue
-            cell = self.cells[gate.cell_name]
-            d_net = gate.connections[cell.inputs[0]]
+        for node in self.registers:
             for transition in TRANSITIONS:
-                key = (d_net, transition)
+                key = (node.d_net, transition)
                 if key in result.arrivals:
                     result.endpoints.append(
-                        Endpoint(d_net, transition, result.arrivals[key],
-                                 period - lib_cell.setup_time)
+                        Endpoint(node.d_net, transition, result.arrivals[key],
+                                 period - node.lib_cell.setup_time)
                     )
 
 

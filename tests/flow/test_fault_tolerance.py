@@ -132,6 +132,20 @@ class TestExecutorRetry:
             ex.map_chunks(_scale_chunk, 3, TASKS)
         assert plan.fired == {"chunk": 3}
 
+    def test_counts_survive_a_raising_fallback(self):
+        # The fallback re-raises the persistent fault; the failures that
+        # ended the call still reach the stats and the caller's counters.
+        plan = _plan(times=3, match="0")
+        ex = ParallelExecutor("thread", 2, retries=1, fault_plan=plan)
+        counters = {}
+        with pytest.raises(ChaosError):
+            ex.map_chunks(_scale_chunk, 3, TASKS, counters=counters)
+        snapshot = ex.stats_snapshot()
+        assert (snapshot["chunk_failures"], snapshot["retries"],
+                snapshot["degraded_chunks"]) == (2, 1, 1)
+        assert (counters["worker_failures"], counters["worker_retries"],
+                counters["worker_degraded"]) == (2, 1, 1)
+
     def test_serial_path_raises_in_process(self):
         plan = _plan(times=99)
         with pytest.raises(ChaosError, match="injected chunk fault"):

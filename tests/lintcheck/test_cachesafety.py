@@ -181,6 +181,38 @@ class TestStaleVersion:
         assert main(["lint", str(pkg), "--select", "stale-version"] + args) == 0
 
 
+    def test_edit_behind_reexported_non_role_call_is_flagged(self, tmp_path, capsys):
+        # run() hands the helper no role-bound name, and reaches it only
+        # through a package re-export; its edit must still move the shape.
+        pkg = _write_mini_package(tmp_path)
+        helpers = pkg / "helpers"
+        helpers.mkdir()
+        (helpers / "__init__.py").write_text("from .impl import halve\n")
+        (pkg / "stages.py").write_text(textwrap.dedent("""
+            from .base import FlowStage
+            from .helpers import halve
+
+
+            class TinyStage(FlowStage):
+                name = "tiny"
+                version = 1
+
+                def run(self, flow, config, artifacts, counters, context):
+                    return {"out": halve(flow.netlist.size)}
+        """))
+        impl = helpers / "impl.py"
+        impl.write_text("def halve(value):\n    return value / 2\n")
+        fingerprints = tmp_path / "fp.json"
+        args = ["--stage-fingerprints", str(fingerprints)]
+        assert main(["lint", str(pkg), "--write-stage-fingerprints"] + args) == 0
+        select = ["lint", str(pkg), "--select", "stale-version"] + args
+        assert main(select) == 0
+        impl.write_text("def halve(value):\n    return value / 3\n")
+        capsys.readouterr()
+        assert main(select) == 1
+        assert "TinyStage" in capsys.readouterr().out
+
+
 def test_shipped_fingerprints_match_tree_on_this_interpreter():
     """The committed fingerprint file must stay in sync with stages.py
     (on the interpreter generation that wrote it; others skip)."""

@@ -92,3 +92,18 @@ class TestHold:
         result = run_hold(engine)
         assert result.endpoints == []
         assert result.worst_hold_slack == float("inf")
+
+    def test_endpoints_follow_netlist_gate_order(self, lib, liberty):
+        # Registers added out of name order: "ffz" first.
+        netlist = Netlist("order")
+        netlist.add_input("a")
+        netlist.add_input("ck")
+        netlist.add_gate("ffz", "DFF_X1", {"D": "x", "CK": "ck", "Q": "qz"})
+        netlist.add_gate("ffa", "DFF_X1", {"D": "y", "CK": "ck", "Q": "qa"})
+        netlist.add_gate("gx", "INV_X1", {"A": "a", "Z": "x"})
+        netlist.add_gate("gy", "INV_X1", {"A": "qz", "Z": "y"})
+        netlist.add_output("qa")
+        result = run_hold(StaEngine(netlist, lib, liberty))
+        assert [(e.gate, e.net, e.transition) for e in result.endpoints] == [
+            ("ffz", "x", "rise"), ("ffz", "x", "fall"),
+            ("ffa", "y", "rise"), ("ffa", "y", "fall")]

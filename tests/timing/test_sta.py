@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cells import build_library
-from repro.circuits import Netlist, c17, inverter_chain, ripple_carry_adder
+from repro.circuits import Netlist, c17, inverter_chain, ripple_carry_adder, structured_asic
 from repro.device import AlphaPowerModel
 from repro.metrology.gate_cd import GateCdMeasurement
 from repro.pdk import make_tech_90nm
@@ -146,6 +146,59 @@ class TestBasicSta:
                                          slew_table.lookup(slew_in, load))
         assert len(worst) == 12
         assert {key: result.slews[key] for key in worst} == worst
+
+
+def twin_registers() -> Netlist:
+    """Two registers added out of name order ("ffz" before "ffa"), whose
+    D pins see identical paths, so their setup slacks tie exactly."""
+    netlist = Netlist("twins")
+    netlist.add_input("a")
+    netlist.add_input("ck")
+    netlist.add_gate("ffz", "DFF_X1", {"D": "x", "CK": "ck", "Q": "qz"})
+    netlist.add_gate("ffa", "DFF_X1", {"D": "y", "CK": "ck", "Q": "qa"})
+    netlist.add_gate("gx", "INV_X1", {"A": "a", "Z": "x"})
+    netlist.add_gate("gy", "INV_X1", {"A": "a", "Z": "y"})
+    netlist.add_gate("go", "INV_X1", {"A": "a", "Z": "out"})
+    netlist.add_output("out")
+    return netlist
+
+
+class TestGraphOrder:
+    """The orders the timing graph must keep: results depend on them."""
+
+    def test_nodes_topological_registers_in_netlist_order(self, lib, liberty):
+        netlist = twin_registers()
+        engine = make_engine(netlist, lib, liberty, placed=False)
+        assert [n.name for n in engine.nodes] == [
+            g.name for g in netlist.topological_gates(lib)]
+        assert [n.name for n in engine.registers] == ["ffz", "ffa"]
+        assert [n.d_net for n in engine.registers] == ["x", "y"]
+
+    def test_endpoints_outputs_first_then_d_pins_in_netlist_order(self, lib, liberty):
+        result = make_engine(twin_registers(), lib, liberty, placed=False).run()
+        assert [(e.net, e.transition) for e in result.endpoints] == [
+            ("out", "rise"), ("out", "fall"),
+            ("x", "rise"), ("x", "fall"), ("y", "rise"), ("y", "fall")]
+
+    def test_fabric_endpoint_order(self, lib, liberty):
+        netlist = structured_asic(200, seed=4)
+        result = make_engine(netlist, lib, liberty).run()
+        d_nets = [gate.connections[lib[gate.cell_name].inputs[0]]
+                  for gate in netlist.gates.values() if lib[gate.cell_name].is_sequential]
+        assert len(d_nets) > 1
+        expected = [(net, t) for net in list(netlist.outputs) + d_nets
+                    for t in ("rise", "fall") if (net, t) in result.arrivals]
+        assert [(e.net, e.transition) for e in result.endpoints] == expected
+
+    def test_worst_endpoint_is_first_of_ties(self, lib, liberty):
+        result = make_engine(twin_registers(), lib, liberty, placed=False).run(
+            TimingConstraints(clock_period_ps=60.0))
+        by_key = {(e.net, e.transition): e.slack for e in result.endpoints}
+        assert by_key[("x", "rise")] == by_key[("y", "rise")]
+        assert by_key[("x", "fall")] == by_key[("y", "fall")]
+        worst = result.worst_endpoint
+        assert worst.net == "x"
+        assert worst.slack < by_key[("out", "rise")]
 
 
 class TestPaths:
