@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set
 
-from repro.cells import CellLibrary
+from repro.cells import CellLibrary, StandardCell
 
 
 @dataclass
@@ -131,39 +131,40 @@ class Netlist:
     # -- ordering and simulation ---------------------------------------------
 
     def topological_gates(self, library: CellLibrary) -> List[Gate]:
-        """Gates in evaluation order.
+        """Gates in evaluation order (see :meth:`topological_order`)."""
+        return self.topological_order(
+            {name: library[gate.cell_name] for name, gate in self.gates.items()})
+
+    def topological_order(self, cell_of: Mapping[str, StandardCell]) -> List[Gate]:
+        """Gates in evaluation order, each gate's cell already resolved
+        (``cell_of`` maps gate name to cell).
 
         Sequential cell outputs are launch points: a DFF is ordered by its
         clock/D availability for *placement* purposes, but its output never
         feeds back a combinational dependency, so cycles through registers
         are legal.
         """
-        driver_by_net: Dict[str, Gate] = {}
+        driver_by_net: Dict[str, str] = {}
         for gate in self.gates.values():
-            cell = library[gate.cell_name]
-            driver_by_net[gate.connections[cell.output]] = gate
+            driver_by_net[gate.connections[cell_of[gate.name].output]] = gate.name
 
         dependents: Dict[str, List[str]] = {g: [] for g in self.gates}
         in_degree: Dict[str, int] = {g: 0 for g in self.gates}
         for gate in self.gates.values():
-            cell = library[gate.cell_name]
+            cell = cell_of[gate.name]
             if cell.is_sequential:
                 continue  # register outputs launch independently
             for pin in cell.inputs:
                 driver = driver_by_net.get(gate.connections[pin])
-                if driver is not None and not library[driver.cell_name].is_sequential:
-                    dependents[driver.name].append(gate.name)
+                if driver is not None and not cell_of[driver].is_sequential:
+                    dependents[driver].append(gate.name)
                     in_degree[gate.name] += 1
 
         # Sequential gates and gates fed only by PIs/registers start ready;
         # registers go first so their Q launches are available before any
         # combinational consumer is evaluated.
-        def seed_key(name: str):
-            sequential = library[self.gates[name].cell_name].is_sequential
-            return (0 if sequential else 1, name)
-
         queue = deque(sorted((g for g, deg in in_degree.items() if deg == 0),
-                             key=seed_key))
+                             key=lambda g: (0 if cell_of[g].is_sequential else 1, g)))
         order: List[Gate] = []
         while queue:
             name = queue.popleft()

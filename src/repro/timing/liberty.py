@@ -14,6 +14,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.units import Femtofarads, Picoseconds
 
+TRANSITIONS = ("rise", "fall")
+
 
 @dataclass(frozen=True)
 class TimingTable:

@@ -15,10 +15,9 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from repro.cells import CellLibrary, StandardCell
 from repro.circuits import Netlist
 from repro.place.placer import Placement
-from repro.timing.liberty import LibertyCell, LibertyLibrary, TimingArc
+from repro.timing.kernel import SampleKernel
+from repro.timing.liberty import TRANSITIONS, LibertyCell, LibertyLibrary, TimingArc
 from repro.units import Dimensionless, Femtofarads, Picoseconds
-
-TRANSITIONS = ("rise", "fall")
 
 NodeKey = Tuple[str, str]  # (net, transition)
 
@@ -188,32 +187,45 @@ class StaEngine:
                 tuple([(net[arc.input_pin], arc) for arc in lib_cell.arcs]),
                 net[cell.inputs[0]] if lib_cell.is_sequential else None,
             )
-        self.nodes = tuple(self._by_name[g.name] for g in netlist.topological_gates(cells))
+        order = netlist.topological_order(
+            {name: node.cell for name, node in self._by_name.items()})
+        self.nodes = tuple(self._by_name[g.name] for g in order)
         self.registers = tuple(n for n in self._by_name.values() if n.d_net is not None)
         self._driver_by_net = {n.out_net: n.name for n in self._by_name.values()}
         # Wire lengths: realised routes if provided, HPWL estimate otherwise.
         if net_lengths is not None:
             self._hpwl = dict(net_lengths)
         else:
-            self._hpwl = self._build_hpwl() if placement is not None else {}
+            self._hpwl = self._build_hpwl(placement) if placement is not None else {}
+        self._kernel: Optional[SampleKernel] = None
 
     # -- construction helpers ---------------------------------------------
 
-    def _build_hpwl(self) -> Dict[str, float]:
+    def _build_hpwl(self, placement: Placement) -> Dict[str, float]:
         lengths: Dict[str, float] = {}
-        points: Dict[str, List] = {}
+        xs: Dict[str, List[float]] = {}
+        ys: Dict[str, List[float]] = {}
         for gate in self.netlist.gates.values():
-            center = self.placement.gates[gate.name].bbox.center
+            box = placement.gates[gate.name].bbox
+            x = (box.x0 + box.x1) / 2  # the bbox center
+            y = (box.y0 + box.y1) / 2
             for net in gate.connections.values():
-                points.setdefault(net, []).append(center)
-        for net, pts in points.items():
-            if len(pts) < 2:
+                xs.setdefault(net, []).append(x)
+                ys.setdefault(net, []).append(y)
+        for net, net_xs in xs.items():
+            if len(net_xs) < 2:
                 lengths[net] = 0.0
                 continue
-            xs = [p.x for p in pts]
-            ys = [p.y for p in pts]
-            lengths[net] = (max(xs) - min(xs)) + (max(ys) - min(ys))
+            net_ys = ys[net]
+            lengths[net] = (max(net_xs) - min(net_xs)) + (max(net_ys) - min(net_ys))
         return lengths
+
+    def sample_kernel(self) -> SampleKernel:
+        """This graph as a batched kernel (``repro.timing.kernel``), built on
+        first use and kept: constructing an engine does not pay for it."""
+        if self._kernel is None:
+            self._kernel = SampleKernel(self)
+        return self._kernel
 
     def node(self, name: str) -> TimingNode:
         """The resolved node of gate ``name``."""

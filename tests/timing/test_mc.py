@@ -11,6 +11,7 @@ half the requested correlated sigma).
 """
 
 import math
+import random
 import statistics
 
 import pytest
@@ -199,3 +200,42 @@ class TestCorrelatedFieldNormalization:
                 diffs.append(abs(deltas[a] - deltas[b]))
         spread = max(deltas.values()) - min(deltas.values())
         assert diffs and max(diffs) < max(spread, 1e-9) * 0.2
+
+
+def frozen_sample_instance_deltas(netlist, placement, spec, sample_index):
+    """``sample_instance_deltas`` as it was when it read ``bbox.center``;
+    kept verbatim so the inlined center cannot move a float or a draw."""
+    rng = random.Random(spec.seed * 1_000_003 + sample_index)
+    phase_x = rng.uniform(0, 2 * math.pi)
+    phase_y = rng.uniform(0, 2 * math.pi)
+    amplitude = rng.gauss(0.0, spec.sigma_correlated_nm)
+    deltas = {}
+    for gate_name in netlist.gates:
+        correlated = 0.0
+        if placement is not None and spec.sigma_correlated_nm > 0:
+            center = placement.gates[gate_name].bbox.center
+            wave = math.cos(
+                2 * math.pi * center.x / spec.correlation_length_nm + phase_x
+            ) * math.cos(2 * math.pi * center.y / spec.correlation_length_nm + phase_y)
+            correlated = amplitude * 2.0 * wave
+        elif spec.sigma_correlated_nm > 0:
+            correlated = amplitude
+        deltas[gate_name] = spec.mean_nm + correlated + rng.gauss(0.0, spec.sigma_random_nm)
+    return deltas
+
+
+class TestSampleDeltasPinned:
+    @pytest.mark.parametrize("spec", [
+        CdVariationSpec(seed=1),
+        CdVariationSpec(mean_nm=-1.5, sigma_random_nm=0.5, sigma_correlated_nm=3.0,
+                        correlation_length_nm=7_000.0, seed=4),
+        CdVariationSpec(sigma_correlated_nm=0.0, seed=9),
+    ])
+    @pytest.mark.parametrize("placed", [True, False])
+    def test_equals_frozen_formula(self, spec, placed):
+        lib = build_library(make_tech_90nm())
+        netlist = structured_asic(150, seed=2)
+        placement = place_rows(netlist, lib) if placed else None
+        for index in range(4):
+            assert list(sample_instance_deltas(netlist, placement, spec, index).items()) == list(
+                frozen_sample_instance_deltas(netlist, placement, spec, index).items())

@@ -163,8 +163,69 @@ def twin_registers() -> Netlist:
     return netlist
 
 
+def frozen_hpwl(netlist, placement):
+    """``StaEngine._build_hpwl`` as it was with a ``Point`` per gate."""
+    lengths, points = {}, {}
+    for gate in netlist.gates.values():
+        center = placement.gates[gate.name].bbox.center
+        for net in gate.connections.values():
+            points.setdefault(net, []).append(center)
+    for net, pts in points.items():
+        if len(pts) < 2:
+            lengths[net] = 0.0
+            continue
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        lengths[net] = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return lengths
+
+
+def frozen_topological_names(netlist, library):
+    """``Netlist.topological_gates`` as it was, looking cells up per use."""
+    driver_by_net = {}
+    for gate in netlist.gates.values():
+        driver_by_net[gate.connections[library[gate.cell_name].output]] = gate
+    dependents = {g: [] for g in netlist.gates}
+    in_degree = {g: 0 for g in netlist.gates}
+    for gate in netlist.gates.values():
+        cell = library[gate.cell_name]
+        if cell.is_sequential:
+            continue
+        for pin in cell.inputs:
+            driver = driver_by_net.get(gate.connections[pin])
+            if driver is not None and not library[driver.cell_name].is_sequential:
+                dependents[driver.name].append(gate.name)
+                in_degree[gate.name] += 1
+    queue = sorted((g for g, deg in in_degree.items() if deg == 0),
+                   key=lambda g: (0 if library[netlist.gates[g].cell_name].is_sequential
+                                  else 1, g))
+    order = []
+    while queue:
+        name = queue.pop(0)
+        order.append(name)
+        for dep in dependents[name]:
+            in_degree[dep] -= 1
+            if in_degree[dep] == 0:
+                queue.append(dep)
+    return order
+
+
 class TestGraphOrder:
     """The orders the timing graph must keep: results depend on them."""
+
+    def test_hpwl_equals_frozen_formula(self, lib, liberty):
+        netlist = structured_asic(300, seed=4)
+        engine = make_engine(netlist, lib, liberty)
+        assert list(engine._hpwl.items()) == list(
+            frozen_hpwl(netlist, engine.placement).items())
+
+    @pytest.mark.parametrize("design", ["twins", "c17", "fabric"])
+    def test_node_order_equals_frozen_topological_gates(self, lib, liberty, design):
+        netlist = {"twins": twin_registers, "c17": lambda: c17(lib),
+                   "fabric": lambda: structured_asic(300, seed=4)}[design]()
+        expected = frozen_topological_names(netlist, lib)
+        assert [n.name for n in make_engine(netlist, lib, liberty, placed=False).nodes] == expected
+        assert [g.name for g in netlist.topological_gates(lib)] == expected
 
     def test_nodes_topological_registers_in_netlist_order(self, lib, liberty):
         netlist = twin_registers()
