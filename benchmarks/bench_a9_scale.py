@@ -165,7 +165,7 @@ def bench_dispatch_identity(tech, library, simulator, n_gates=300, shards=4):
     serial = measure_tile_chunk((simulator, tasks))
     serial_wall = time.perf_counter() - start
 
-    executor = ParallelExecutor.from_jobs(2)
+    executor = ParallelExecutor(2)
     start = time.perf_counter()
     parallel = executor.map_chunks(measure_tile_chunk, simulator, tasks)
     parallel_wall = time.perf_counter() - start

@@ -78,8 +78,9 @@ def _make_flow_engine(args):
     if cache_dir is None and getattr(args, "run_dir", None):
         cache_dir = os.path.join(args.run_dir, RunJournal.CACHE_SUBDIR)
     context = FlowContext(cache_dir=cache_dir, max_disk_bytes=max_bytes)
-    executor = ParallelExecutor.from_jobs(
-        args.jobs, retries=args.retries, chunk_timeout=args.chunk_timeout
+    # --jobs 0 (or below) runs in-process, as --jobs 1 does.
+    executor = ParallelExecutor(
+        max(args.jobs, 1), retries=args.retries, chunk_timeout=args.chunk_timeout
     )
     return context, executor
 
@@ -363,7 +364,9 @@ def _add_run_args(sub, op: str) -> None:
 def _add_engine_args(sub) -> None:
     """Executor and persistent-cache knobs shared by flow/sweep/serve."""
     sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for the OPC/metrology tile loops")
+                     help="workers for the OPC/metrology tile loops: 1 runs "
+                          "them in-process, more use a fork process pool "
+                          "(results are bit-identical)")
     sub.add_argument("--cache-dir", default=None,
                      help="persist flow artifacts here; later runs (or other "
                           "processes) serve them as disk hits")

@@ -2,18 +2,13 @@
 
 The two hot loops — model-OPC tile correction and per-tile gate
 metrology — are expressed as work-lists of picklable tasks and dispatched
-through a :class:`ParallelExecutor`.  Backends:
+through a :class:`ParallelExecutor`.  One job (the default) runs the
+work-list in the calling process; more jobs use a fork process pool, with
+the tasks chunked so each worker unpickles the simulator once and builds
+its SOCS kernel cache once, then streams through its whole chunk.
 
-* ``serial``  — plain loop in the calling process (the default, and the
-  reference the others must match bit-for-bit);
-* ``thread``  — a thread pool; shares the caller's simulator (and its
-  SOCS kernel cache) without pickling;
-* ``process`` — a process pool; tasks are chunked so each worker unpickles
-  the simulator once and builds its SOCS kernel cache once, then streams
-  through its whole chunk.
-
-Results are returned in task order regardless of backend, so parallel
-runs are numerically identical to serial ones.  Consumers below the flow
+Results are returned in task order either way, so pool runs are
+bit-identical to in-process ones.  Consumers below the flow
 layer (metrology, OPC) accept an executor by duck type only — they never
 import this module, preserving the bottom-up layering.
 
@@ -26,7 +21,8 @@ Every failure/retry/degradation is counted on :attr:`ParallelExecutor.stats`
 and (when the caller passes a ``counters`` dict) on the stage's trace
 record.  A :class:`~repro.flow.chaos.FaultPlan` is the deterministic test
 hook: its ``chunk`` and ``worker-exit`` faults fire inside the pool
-worker that runs the chunk, and in-process on the serial paths.
+worker that runs the chunk (``worker-exit`` exits that worker process),
+and raise on the in-process paths.
 """
 
 from __future__ import annotations
@@ -38,8 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flow.chaos import ChaosError, FaultPlan
 from repro.flow.errors import InputValidationError
-
-BACKENDS = ("serial", "thread", "process")
 
 #: the FaultPlan sites that fail one worker chunk
 _CHUNK_SITES = ("chunk", "worker-exit")
@@ -59,23 +53,22 @@ def split_chunks(items: Sequence[Any], n: int) -> List[List[Any]]:
     return [c for c in chunks if c]
 
 
-def _injected_chunk_fault(payload: Tuple[str, bool]) -> List[Any]:
+def _injected_chunk_fault(site: str) -> List[Any]:
     """Module-level (picklable) stand-in for a chunk hit by an injected
     fault: it runs in the pool worker in place of the real chunk.
-    ``exit_worker`` hard-kills a process-pool worker (the real
-    ``BrokenProcessPool``); otherwise the worker raises."""
-    site, exit_worker = payload
-    if exit_worker:
+    ``worker-exit`` hard-kills the worker process (the real
+    ``BrokenProcessPool``); ``chunk`` makes the worker raise."""
+    if site == "worker-exit":
         os._exit(43)
     raise ChaosError(f"injected {site} fault in a pool worker")
 
 
 class ParallelExecutor:
-    """Maps a chunk worker over a task list with a configurable backend."""
+    """Maps a chunk worker over a task list: in-process at one job, on a
+    fork process pool of ``jobs`` workers above it."""
 
     def __init__(
         self,
-        backend: str = "serial",
         jobs: int = 1,
         retries: int = 0,
         chunk_timeout: Optional[float] = None,
@@ -83,10 +76,6 @@ class ParallelExecutor:
     ) -> None:
         # InputValidationError subclasses ValueError: pre-taxonomy callers
         # catching ValueError keep working, the CLI maps it to exit code 3.
-        if backend not in BACKENDS:
-            raise InputValidationError(
-                "backend", f"must be one of {BACKENDS}, got {backend!r}"
-            )
         if jobs < 1:
             raise InputValidationError("jobs", f"must be >= 1, got {jobs}")
         if retries < 0:
@@ -95,7 +84,6 @@ class ParallelExecutor:
             raise InputValidationError(
                 "chunk_timeout", "must be positive (or None)"
             )
-        self.backend = backend
         self.jobs = jobs
         self.retries = retries
         self.chunk_timeout = chunk_timeout
@@ -115,24 +103,8 @@ class ParallelExecutor:
         }
         self._stats_lock = threading.Lock()
 
-    @staticmethod
-    def from_jobs(
-        jobs: int,
-        retries: int = 0,
-        chunk_timeout: Optional[float] = None,
-    ) -> "ParallelExecutor":
-        """The natural executor for a ``--jobs N`` knob."""
-        if jobs <= 1:
-            return ParallelExecutor("serial", 1, retries=retries,
-                                    chunk_timeout=chunk_timeout)
-        return ParallelExecutor("process", jobs, retries=retries,
-                                chunk_timeout=chunk_timeout)
-
     def __repr__(self) -> str:
-        return (
-            f"ParallelExecutor(backend={self.backend!r}, jobs={self.jobs}, "
-            f"retries={self.retries})"
-        )
+        return f"ParallelExecutor(jobs={self.jobs}, retries={self.retries})"
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Point-in-time copy of :attr:`stats`, taken under the stats
@@ -167,10 +139,6 @@ class ParallelExecutor:
         return list(worker(payload))
 
     def _make_pool(self, workers: int) -> Any:
-        if self.backend == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            return ThreadPoolExecutor(max_workers=workers)
         from concurrent.futures import ProcessPoolExecutor
 
         context = None
@@ -190,7 +158,7 @@ class ParallelExecutor:
         Any per-chunk exception, timeout, or pool breakage marks that
         chunk failed and never propagates out of the round.  ``abandoned``
         counts failed futures that were still running when this round gave
-        up on them (a timed-out thread keeps holding its thread; a broken
+        up on them (a timed-out worker keeps running its chunk; a broken
         pool's workers are gone) — the observable leaked-worker pressure.
         """
         successes: Dict[int, List[Any]] = {}
@@ -205,9 +173,7 @@ class ParallelExecutor:
                 if site is None:
                     future = pool.submit(worker, payloads[idx])
                 else:
-                    # Exiting is only safe in a worker process of its own.
-                    exit_worker = site == "worker-exit" and self.backend == "process"
-                    future = pool.submit(_injected_chunk_fault, (site, exit_worker))
+                    future = pool.submit(_injected_chunk_fault, site)
                 futures.append((idx, future))
             for idx, future in futures:
                 try:
@@ -248,7 +214,7 @@ class ParallelExecutor:
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.backend == "serial" or self.jobs == 1 or len(tasks) == 1:
+        if self.jobs == 1 or len(tasks) == 1:
             return self._run_in_process(worker, (shared, tasks), 0)
 
         chunks = split_chunks(tasks, self.jobs)

@@ -222,9 +222,10 @@ class PostOpcTimingFlow:
     Construction performs the technology-setup work once (library build,
     characterization, litho calibration); :meth:`run` executes the stage
     graph, re-using artifacts from :attr:`context` wherever a stage's
-    config slice and upstream inputs are unchanged.  A parallel
-    ``executor`` (e.g. ``ParallelExecutor.from_jobs(n)``) parallelizes the
-    OPC and metrology tile loops; the default runs them serially.
+    config slice and upstream inputs are unchanged.  An ``executor``
+    (``ParallelExecutor(jobs)``) runs the OPC and metrology tile loops:
+    one job (the default) runs them in-process, more jobs on a fork
+    process pool, with bit-identical results.
     """
 
     def __init__(

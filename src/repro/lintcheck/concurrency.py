@@ -331,7 +331,9 @@ class _FunctionScan:
         """Record ``f`` as a thread entry point for dispatches like
         ``asyncio.to_thread(f)``, ``pool.submit(f)``, ``Thread(target=f)``,
         ``journal.add_listener(f)`` (listeners fire on the writer's
-        thread) and ``loop.run_in_executor(None, f)``."""
+        thread) and ``loop.run_in_executor(None, f)``.  A
+        ``map_chunks(f)`` worker is not one: it runs on the caller's
+        thread or in a pool process."""
         arg: Optional[ast.expr] = None
         if self.module is not None:
             dotted = dotted_name(self.module, node.func)
@@ -343,7 +345,7 @@ class _FunctionScan:
                         arg = keyword.value
         if arg is None and isinstance(node.func, ast.Attribute):
             attr = node.func.attr
-            if attr in ("submit", "map_chunks", "add_listener") and node.args:
+            if attr in ("submit", "add_listener") and node.args:
                 arg = node.args[0]
             elif attr == "run_in_executor" and len(node.args) >= 2:
                 arg = node.args[1]

@@ -355,7 +355,7 @@ def _check_modules(
     if jobs > 1 and len(files) > 1 and registry_backed:
         from repro.flow.parallel import ParallelExecutor
 
-        executor = ParallelExecutor.from_jobs(jobs)
+        executor = ParallelExecutor(jobs)
         rule_ids = frozenset(rule.id for rule in rules)
         per_file = executor.map_chunks(
             _lint_file_chunk, (rule_ids, apply_waivers), list(files)

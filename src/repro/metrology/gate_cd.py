@@ -331,8 +331,9 @@ def measure_tile_chunk(
     ``payload`` is ``(simulator, [MetrologyTileTask, ...])``.  Module-level
     and fully picklable so process-pool executors can dispatch it; each
     worker builds its SOCS kernel cache on the first window and reuses it
-    for the rest of the chunk.  Windows are independent, so every
-    ``map_chunks`` backend returns bit-identical measurements.
+    for the rest of the chunk.  Windows are independent, so in-process
+    and process-pool ``map_chunks`` runs return bit-identical
+    measurements.
     """
     simulator, tasks = payload
     results: List[Dict[Hashable, GateCdMeasurement]] = []

@@ -17,7 +17,7 @@ from repro.circuits import Netlist
 from repro.place.placer import Placement
 from repro.timing.kernel import SampleKernel
 from repro.timing.liberty import TRANSITIONS, LibertyCell, LibertyLibrary, TimingArc
-from repro.units import Dimensionless, Femtofarads, Picoseconds
+from repro.units import Dimensionless, Picoseconds
 
 NodeKey = Tuple[str, str]  # (net, transition)
 

@@ -449,11 +449,11 @@ class TestChunkFaults:
         plan, spec = FaultPlan.seeded(5)
         assert spec.site == "chunk"
         tasks = list(range(23))
-        expected = ParallelExecutor("serial").map_chunks(
+        expected = ParallelExecutor().map_chunks(
             _triple_chunk, 3, tasks
         )
         futures = _pool_futures(monkeypatch)
-        ex = ParallelExecutor("thread", jobs=4, retries=1, fault_plan=plan)
+        ex = ParallelExecutor(4, retries=1, fault_plan=plan)
         counters = {}
         got = ex.map_chunks(_triple_chunk, 3, tasks, counters=counters)
         assert got == expected
@@ -474,11 +474,11 @@ class TestChunkFaults:
         plan, spec = FaultPlan.seeded(7)
         assert spec.site == "worker-exit"
         tasks = list(range(23))
-        expected = ParallelExecutor("serial").map_chunks(
+        expected = ParallelExecutor().map_chunks(
             _triple_chunk, 3, tasks
         )
         futures = _pool_futures(monkeypatch)
-        ex = ParallelExecutor("process", jobs=3, retries=1, fault_plan=plan)
+        ex = ParallelExecutor(3, retries=1, fault_plan=plan)
         assert ex.map_chunks(_triple_chunk, 3, tasks) == expected
         assert plan.fired["worker-exit"] == 1
         assert ex.stats["chunk_failures"] >= 1

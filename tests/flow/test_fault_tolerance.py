@@ -5,7 +5,7 @@ out is retried in a fresh pool and finally degraded to serial in-process
 execution; results stay bit-identical to the serial reference and every
 failure is counted on the executor and the stage trace.  Faults are
 injected deterministically through a :class:`FaultPlan`: ``chunk`` makes
-the pool worker raise, ``worker-exit`` makes a process-pool worker exit.
+the pool worker raise, ``worker-exit`` makes the pool worker process exit.
 """
 
 import os
@@ -38,7 +38,7 @@ def lib(tech):
 
 
 def _scale_chunk(payload):
-    """Module-level so the process backend can pickle it."""
+    """Module-level so the process pool can pickle it."""
     shared, chunk = payload
     return [shared * x for x in chunk]
 
@@ -82,41 +82,28 @@ EXPECTED = [3 * x for x in TASKS]
 class TestExecutorRetry:
     def test_injected_raise_is_retried(self):
         plan = _plan()
-        ex = ParallelExecutor("process", 2, retries=2, fault_plan=plan)
+        ex = ParallelExecutor(2, retries=2, fault_plan=plan)
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
         assert plan.fired == {"chunk": 1}
         assert ex.stats["chunk_failures"] == 1
         assert ex.stats["retries"] == 1
         assert ex.stats["degraded_chunks"] == 0
 
-    def test_thread_backend_retries_too(self):
-        ex = ParallelExecutor("thread", 2, retries=1, fault_plan=_plan())
-        assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
-        assert ex.stats["retries"] == 1
-
     def test_exhausted_retries_degrade_to_serial(self):
-        ex = ParallelExecutor("process", 2, retries=0, fault_plan=_plan())
+        ex = ParallelExecutor(2, retries=0, fault_plan=_plan())
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
         assert ex.stats["degraded_chunks"] == 1
 
     def test_worker_crash_breaks_pool_and_recovers(self):
         plan = _plan("worker-exit")
-        ex = ParallelExecutor("process", 3, retries=2, fault_plan=plan)
+        ex = ParallelExecutor(3, retries=2, fault_plan=plan)
         assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
         assert plan.fired == {"worker-exit": 1}
         assert ex.stats["chunk_failures"] >= 1
         assert ex.stats["retries"] >= 1
 
-    def test_worker_exit_raises_in_a_thread_pool(self):
-        # Exiting a pool thread would kill the caller: the fault raises.
-        ex = ParallelExecutor("thread", 2, retries=1,
-                              fault_plan=_plan("worker-exit"))
-        assert ex.map_chunks(_scale_chunk, 3, TASKS) == EXPECTED
-        assert ex.stats["chunk_failures"] == 1
-        assert ex.stats["retries"] == 1
-
     def test_counters_dict_receives_accounting(self):
-        ex = ParallelExecutor("process", 2, retries=1, fault_plan=_plan())
+        ex = ParallelExecutor(2, retries=1, fault_plan=_plan())
         counters = {}
         ex.map_chunks(_scale_chunk, 3, TASKS, counters=counters)
         assert counters["worker_failures"] == 1
@@ -127,7 +114,7 @@ class TestExecutorRetry:
         # Chunk 0 fails its first try, its retry and its serial fallback:
         # the in-process fallback raises, so the fault propagates.
         plan = _plan(times=99, match="0")
-        ex = ParallelExecutor("process", 2, retries=1, fault_plan=plan)
+        ex = ParallelExecutor(2, retries=1, fault_plan=plan)
         with pytest.raises(ChaosError, match="injected chunk fault in chunk 0"):
             ex.map_chunks(_scale_chunk, 3, TASKS)
         assert plan.fired == {"chunk": 3}
@@ -136,7 +123,7 @@ class TestExecutorRetry:
         # The fallback re-raises the persistent fault; the failures that
         # ended the call still reach the stats and the caller's counters.
         plan = _plan(times=3, match="0")
-        ex = ParallelExecutor("thread", 2, retries=1, fault_plan=plan)
+        ex = ParallelExecutor(2, retries=1, fault_plan=plan)
         counters = {}
         with pytest.raises(ChaosError):
             ex.map_chunks(_scale_chunk, 3, TASKS, counters=counters)
@@ -149,22 +136,22 @@ class TestExecutorRetry:
     def test_serial_path_raises_in_process(self):
         plan = _plan(times=99)
         with pytest.raises(ChaosError, match="injected chunk fault"):
-            ParallelExecutor("serial", fault_plan=plan).map_chunks(
+            ParallelExecutor(fault_plan=plan).map_chunks(
                 _scale_chunk, 3, TASKS)
         assert plan.fired == {"chunk": 1}
 
     def test_chunk_timeout_fails_and_retries(self, tmp_path):
-        ex = ParallelExecutor("process", 2, retries=1, chunk_timeout=0.8)
+        ex = ParallelExecutor(2, retries=1, chunk_timeout=0.8)
         shared = (str(tmp_path), 4.0, 3)
         assert ex.map_chunks(_slow_scale_chunk, shared, TASKS) == EXPECTED
         assert ex.stats["chunk_failures"] == 1
         assert ex.stats["retries"] == 1
 
     def test_timeout_abandons_straggler_and_counts_it(self, tmp_path):
-        # A timed-out thread cannot be killed; the round gives up on it
-        # and the leak is counted so operators can see thread pressure.
-        ex = ParallelExecutor("thread", 2, retries=0, chunk_timeout=0.2)
-        shared = (str(tmp_path), 2.0, 3)
+        # A timed-out worker process is still running its chunk; the round
+        # gives up on it and the leak is counted so operators can see it.
+        ex = ParallelExecutor(2, retries=0, chunk_timeout=0.8)
+        shared = (str(tmp_path), 4.0, 3)
         counters = {}
         assert ex.map_chunks(_slow_scale_chunk, shared, TASKS,
                              counters=counters) == EXPECTED
@@ -174,9 +161,11 @@ class TestExecutorRetry:
 
     def test_knob_validation(self):
         with pytest.raises(ValueError):
-            ParallelExecutor("process", 2, retries=-1)
+            ParallelExecutor(0)
         with pytest.raises(ValueError):
-            ParallelExecutor("process", 2, chunk_timeout=0.0)
+            ParallelExecutor(2, retries=-1)
+        with pytest.raises(ValueError):
+            ParallelExecutor(2, chunk_timeout=0.0)
 
 
 class TestFaultTolerantFlow:
@@ -191,7 +180,7 @@ class TestFaultTolerantFlow:
         assert ref.trace.record_for("metrology").counters["tiles"] > 1
 
         plan = _plan("worker-exit")
-        executor = ParallelExecutor("process", 2, retries=2, fault_plan=plan)
+        executor = ParallelExecutor(2, retries=2, fault_plan=plan)
         faulty = PostOpcTimingFlow(c17(lib), tech, cells=lib,
                                    simulator=small_tile_simulator(tech),
                                    executor=executor)

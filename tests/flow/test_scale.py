@@ -145,7 +145,7 @@ class TestScaleSmoke1k:
                                       shards=self.SHARDS)
         serial = {k: m for chunk in measure_tile_chunk((flow.simulator, tasks))
                   for k, m in chunk.items()}
-        executor = ParallelExecutor.from_jobs(2)
+        executor = ParallelExecutor(2)
         chunks = executor.map_chunks(measure_tile_chunk, flow.simulator, tasks)
         parallel = {k: m for chunk in chunks for k, m in chunk.items()}
         assert set(serial) == set(parallel)

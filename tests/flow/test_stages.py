@@ -38,7 +38,7 @@ def lib(tech):
 
 
 def _scale_chunk(payload):
-    """Module-level so the process backend can pickle it."""
+    """Module-level so the process pool can pickle it."""
     shared, chunk = payload
     return [shared * x for x in chunk]
 
@@ -95,20 +95,12 @@ class TestParallelExecutor:
         assert split_chunks([], 4) == []
         assert split_chunks([1], 8) == [[1]]
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor("gpu")
-
     def test_map_chunks_order_preserved(self):
         tasks = list(range(11))
         expected = [3 * x for x in tasks]
-        for backend in ("serial", "thread", "process"):
-            ex = ParallelExecutor(backend, jobs=3)
+        for jobs in (1, 3):
+            ex = ParallelExecutor(jobs)
             assert ex.map_chunks(_scale_chunk, 3, tasks) == expected
-
-    def test_from_jobs(self):
-        assert ParallelExecutor.from_jobs(1).backend == "serial"
-        assert ParallelExecutor.from_jobs(4).backend == "process"
 
 
 class TestFlowTrace:
@@ -201,9 +193,8 @@ class TestSerialParallelParity:
                             n_critical_paths=2)
         out = {}
         for label, executor in {
-            "serial": ParallelExecutor.from_jobs(1),
-            "process": ParallelExecutor.from_jobs(2),
-            "thread": ParallelExecutor("thread", 2),
+            "serial": ParallelExecutor(1),
+            "process": ParallelExecutor(2),
         }.items():
             flow = PostOpcTimingFlow(c17(lib), tech, cells=lib,
                                      simulator=small_tile_simulator(tech),
@@ -217,12 +208,11 @@ class TestSerialParallelParity:
 
     def test_parallel_backends_bit_identical(self, reports):
         ref = reports["serial"]
-        for label in ("process", "thread"):
-            got = reports[label]
-            assert got.wns_post == ref.wns_post
-            assert got.wns_drawn == ref.wns_drawn
-            assert got.leakage_post == ref.leakage_post
-            assert got.mask_polygons == ref.mask_polygons
-            assert got.measurements.keys() == ref.measurements.keys()
-            for name, m in ref.measurements.items():
-                assert got.measurements[name].slice_cds == m.slice_cds
+        got = reports["process"]
+        assert got.wns_post == ref.wns_post
+        assert got.wns_drawn == ref.wns_drawn
+        assert got.leakage_post == ref.leakage_post
+        assert got.mask_polygons == ref.mask_polygons
+        assert got.measurements.keys() == ref.measurements.keys()
+        for name, m in ref.measurements.items():
+            assert got.measurements[name].slice_cds == m.slice_cds

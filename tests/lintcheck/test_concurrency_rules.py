@@ -10,7 +10,9 @@ import textwrap
 import pytest
 
 from repro.__main__ import main
-from repro.lintcheck import check_paths
+from repro.lintcheck import check_paths, collect_files
+from repro.lintcheck.callgraph import Project
+from repro.lintcheck.concurrency import build_model
 from repro.lintcheck.core import rules_for
 from repro.lintcheck.formats import apply_baseline, load_baseline, write_baseline
 
@@ -137,6 +139,28 @@ class TestBlockingInAsync:
         [found] = check_paths([str(flow)],
                               rules=rules_for(select=["blocking-in-async"]))
         assert "via f -> z1 -> zz;" in found.message
+
+
+class TestThreadEntries:
+    def test_map_chunks_worker_is_not_a_thread_entry(self, tmp_path):
+        # A map_chunks worker runs on the caller's thread or in a pool
+        # process, never on a second thread of this process.
+        flow = tmp_path / "repro" / "flow"
+        flow.mkdir(parents=True)
+        (flow / "dispatch.py").write_text(textwrap.dedent("""
+            class Sweep:
+                def run(self, executor, pool):
+                    executor.map_chunks(self.tile, None, [])
+                    pool.submit(self.pump)
+
+                def tile(self, payload):
+                    return []
+
+                def pump(self):
+                    pass
+        """))
+        model = build_model(Project.from_files(collect_files([str(flow)])))
+        assert sorted(q.rsplit(".", 1)[-1] for q in model.entries) == ["pump"]
 
 
 class TestShippedFlowAcceptance:

@@ -14,7 +14,7 @@ from repro.litho import (
     plan_shard_grid,
     plan_tile_grid,
 )
-from repro.litho.resist import NOMINAL, ProcessCondition
+from repro.litho.resist import ProcessCondition
 from repro.metrology import plan_metrology_shards
 from repro.metrology.gate_cd import measure_tile_chunk
 from repro.pdk import Layers, make_tech_90nm
@@ -192,7 +192,7 @@ class TestShardMeasurement:
         polys, rects = placed_chain
         tasks = plan_metrology_shards(sim, polys, rects, shards=2)
         serial = measure_tile_chunk((sim, tasks))
-        executor = ParallelExecutor.from_jobs(2)
+        executor = ParallelExecutor(2)
         parallel = executor.map_chunks(measure_tile_chunk, sim, tasks)
         flat_serial = {k: m for chunk in serial for k, m in chunk.items()}
         flat_parallel = {k: m for chunk in parallel for k, m in chunk.items()}
