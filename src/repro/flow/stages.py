@@ -357,11 +357,13 @@ class BackAnnotateStage(FlowStage):
 class PostStaStage(FlowStage):
     """Post-OPC STA with back-annotated derates (canonical period).
 
-    The stage re-times *incrementally* from the drawn STA: only the
-    fan-out cones of the derated instances are re-propagated
-    (:func:`repro.timing.run_incremental`), through the same arc loop as
-    the full :meth:`~repro.timing.StaEngine.run`, and bit-identical to it
-    — the parity tests enforce it.
+    The stage re-times the drawn STA through
+    :func:`repro.timing.run_incremental`: a small fan-out cone of the
+    derated instances is spliced through the scalar arc loop, and a large
+    one is one pass of the engine's batched kernel.  Every flow derates
+    every instance, so designs of 48 gates or more take the kernel and
+    smaller ones (c17) the splice.  Either is bit-identical to the full
+    :meth:`~repro.timing.StaEngine.run`; the parity tests enforce it.
     """
 
     name = "sta_post"

@@ -28,6 +28,7 @@ served with new semantics.  Refresh the file with
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import json
 import os
@@ -587,10 +588,19 @@ class StageEdgeContractRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 
+def _code_dump(node: FunctionNode) -> str:
+    """``ast.dump`` of a function without its leading docstring."""
+    if ast.get_docstring(node, clean=False) is not None:
+        node = copy.copy(node)
+        node.body = node.body[1:]
+    return ast.dump(node)
+
+
 def stage_shape(project: Project, analysis: StageAnalysis) -> str:
     """Content hash of the ``run()``-reachable code of one stage:
     AST dumps of every reachable function plus the module constants they
-    reference.  Formatting and comments do not move it; logic does.
+    reference.  Formatting, comments and docstrings do not move it; logic
+    does.
 
     Reachable means the role walk's functions plus every function they
     name in a statically resolvable call or reference, whatever the
@@ -609,7 +619,7 @@ def stage_shape(project: Project, analysis: StageAnalysis) -> str:
     reached = walk_calls(seeds, referenced, key=lambda func: func.qualname)
     parts: List[str] = []
     for func in sorted(reached, key=lambda func: func.qualname):
-        parts.append(f"{func.qualname}\x1e{ast.dump(func.node)}")
+        parts.append(f"{func.qualname}\x1e{_code_dump(func.node)}")
         for module, name, dump in project.referenced_module_constants(func):
             parts.append(f"{module}.{name}\x1e{dump}")
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8"))

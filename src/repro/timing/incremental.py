@@ -1,18 +1,25 @@
 """Incremental timing update.
 
-Selective OPC changes a handful of instances; re-deriving the whole chip's
-timing for each what-if is wasteful.  ``run_incremental`` re-propagates
-only the fan-out cone of the changed instances (plus the drivers of their
-input nets, whose loads changed with the instances' pin capacitance) and
-splices the result into the previous analysis.  The cone goes through the
-engine's own arc loop (:meth:`StaEngine._propagate`), so there is one
-max-arrival propagation to keep exact, not two.
+Selective OPC changes a handful of instances and replays many what-ifs.
+``run_incremental`` first finds the fan-out cone of the changed instances
+(plus the drivers of their input nets, whose loads changed with the
+instances' pin capacitance), then takes the cheaper of two exact paths:
 
-The result is bit-identical to a full re-run — enforced by parity tests
-(``tests/timing/test_incremental_parity.py``), not merely asserted —
-because arrival times outside the recomputed cone cannot change: STA
-arrival is a pure function of the fan-in cone, and every node whose fan-in
-intersects the change set is in the recomputed cone by construction.
+* **Cone splice** (small cones): re-propagate only the cone through the
+  engine's own arc loop (:meth:`StaEngine._propagate`) and splice it into
+  the previous analysis.  Arrival times outside the cone cannot change:
+  STA arrival is a pure function of the fan-in cone, and every node whose
+  fan-in meets the change set is in the cone by construction.
+* **Kernel pass** (large cones): re-time the whole graph in one n = 1 pass
+  of the engine's batched kernel (:meth:`SampleKernel.state`), which
+  returns arrivals, slews and each node's winning arc.  A pass is the
+  cheaper path once the cone holds more than a sixth of the graph plus
+  40 gates (:func:`_kernel_pays`).
+
+Either result is bit-identical to a full :meth:`StaEngine.run`, including
+predecessors; parity tests on both sides of the selection enforce it
+(``tests/timing/test_incremental_parity.py``).  Non-finite derate scales
+always take the cone splice, the path that is the scalar engine itself.
 
 Two properties keep the cone small on register-rich fabrics:
 
@@ -34,8 +41,11 @@ computed under the previous input slew/arrival and output load).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Set
+from typing import Mapping, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.timing.kernel import derate_columns
 from repro.timing.sta import (
     _NO_DERATE,
     InstanceDerate,
@@ -89,10 +99,23 @@ def affected_gates(
             continue
         if node.lib_cell.is_sequential:
             continue  # registers bound the cone
-        if any(net in dirty_nets for net in node.sink_nets):
+        if not dirty_nets.isdisjoint(node.sink_nets):
             affected.add(node.name)
             dirty_nets.add(node.out_net)
     return affected
+
+
+def _kernel_pays(cone: Set[str], engine: StaEngine) -> bool:
+    """Whether one kernel pass over the whole graph is cheaper than
+    splicing ``cone`` through the scalar loop.
+
+    The splice costs ~16 us per cone gate.  A kernel pass costs ~0.4 ms
+    plus ~3.4 us per graph gate on the structured-ASIC fabric, and more
+    per gate on deep random logic, where it follows the level count.  The
+    two constants minimise the summed time of a what-if sweep over both
+    design families (the crossover table in ``docs/architecture.md``).
+    """
+    return 6 * len(cone) >= len(engine.nodes) + 240
 
 
 def run_incremental(
@@ -103,10 +126,15 @@ def run_incremental(
     derates: Optional[Mapping[str, InstanceDerate]] = None,
 ) -> StaResult:
     """Update ``previous`` for a new derate set differing only on
-    ``changed_gates``.  Exact: matches a full :meth:`StaEngine.run`."""
+    ``changed_gates``: one kernel pass for a large cone, the cone splice
+    for a small one.  Exact: matches a full :meth:`StaEngine.run`."""
     constraints = constraints or TimingConstraints()
     derates = derates or {}
     cone = affected_gates(engine, changed_gates) if changed_gates else set()
+    if _kernel_pays(cone, engine):
+        columns = derate_columns(engine, derates)
+        if np.isfinite(columns).all():
+            return _kernel_run(engine, constraints, columns)
 
     result = StaResult(clock_period_ps=constraints.clock_period_ps)
     result.arrivals = dict(previous.arrivals)
@@ -123,6 +151,23 @@ def run_incremental(
             result.slews.pop((node.out_net, transition), None)
             result.predecessors.pop((node.out_net, transition), None)
     engine._propagate(result, nodes, constraints, derates)
+    engine._collect_endpoints(result, constraints)
+    return result
+
+
+def _kernel_run(engine: StaEngine, constraints: TimingConstraints,
+                columns: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> StaResult:
+    """``StaEngine.run`` through one n = 1 pass of the engine's kernel."""
+    kernel = engine.sample_kernel()
+    state = kernel.state(constraints, *columns)
+    keys = kernel.keys
+    inputs = kernel.arc_inputs
+    result = StaResult(clock_period_ps=constraints.clock_period_ps)
+    result.arrivals = dict(zip(keys, state.arrival.tolist()))
+    result.slews = dict(zip(keys, state.slew.tolist()))
+    result.predecessors = {
+        key: None if row < 0 else (*inputs[row], delay)
+        for key, row, delay in zip(keys, state.winner.tolist(), state.delay.tolist())}
     engine._collect_endpoints(result, constraints)
     return result
 

@@ -2,8 +2,13 @@
 
 ``SampleKernel`` compiles an engine's timing graph (``engine.nodes``) once
 into integer-indexed arrays.  It then propagates ``(n_nodes, S)`` arrival
-and slew arrays level by level, S samples at a time (Monte-Carlo draws or
-corners), and returns each sample's WNS and critical delay.
+and slew arrays level by level.  ``run`` takes S samples at a time
+(Monte-Carlo draws or corners) and returns each sample's WNS and critical
+delay.  ``state`` takes one sample and returns the whole timing state:
+arrivals, slews and each node's winning arc, from which
+``run_incremental`` rebuilds ``StaEngine.run``'s result dicts for a large
+what-if.  Both run the one level loop, ``_propagate``; only ``state``
+keeps each arc's candidate arrival and delay.
 
 For finite derates the results equal ``StaEngine.run(constraints,
 derates).wns`` and ``.critical_delay`` under ``==``.  The kernel repeats
@@ -22,21 +27,22 @@ the scalar engine's IEEE operations in the scalar engine's order:
 
 Which ``(net, transition)`` nodes exist and which arcs feed them does not
 depend on the derates, so the graph is fixed when the kernel is built.
-The kernel keeps no predecessors and no endpoint list: the scalar engine
-stays the single-sample path and the oracle.
+The scalar engine stays the oracle, the drawn-STA and hold path, and the
+what-if path for small cones.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import chain, groupby
+from typing import (TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.timing.liberty import TRANSITIONS, TimingArc, TimingTable
 
 if TYPE_CHECKING:
-    from repro.timing.sta import StaEngine, TimingConstraints
+    from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 
 Axis = Tuple[float, ...]
 
@@ -115,6 +121,15 @@ class _Level(NamedTuple):
     merges: List[Tuple[slice, np.ndarray]]  # (level-local arc rows, their output ids)
 
 
+class KernelState(NamedTuple):
+    """``SampleKernel.state``: one sample, one entry per node id."""
+
+    arrival: np.ndarray  # ps
+    slew: np.ndarray     # ps
+    winner: np.ndarray   # the winning arc row; -1 at inputs and register outputs
+    delay: np.ndarray    # the winning arc's delay; 0.0 where there is none
+
+
 class SampleKernel:
     """An engine's timing graph as arrays, propagated S samples at a time.
 
@@ -128,10 +143,14 @@ class SampleKernel:
         n_gates = len(nodes)
         ids: Dict[Tuple[str, str], int] = {}
         level: List[int] = []  # per node id
+        #: the ``(net, transition)`` key of each node id, in the order the
+        #: scalar engine first writes them
+        self.keys: List[Tuple[str, str]] = []
 
         def add(key: Tuple[str, str], at: int) -> int:
             ids[key] = len(level)
             level.append(at)
+            self.keys.append(key)
             return ids[key]
 
         for net in engine.netlist.inputs:
@@ -142,8 +161,8 @@ class SampleKernel:
         launch_row: List[int] = []  # rows of the stacked (rise; fall) scales
         clk_to_q: List[float] = []
         # (level, merge position, input id, output id, scale row,
-        #  delay table, slew table, output net)
-        arcs: List[Tuple[int, int, int, int, int, TimingTable, TimingTable, str]] = []
+        #  delay table, slew table, output net, gate name)
+        arcs: List[Tuple[int, int, int, int, int, TimingTable, TimingTable, str, str]] = []
         for g, node in enumerate(nodes):
             if node.lib_cell.is_sequential:
                 for fall, transition in enumerate(TRANSITIONS):
@@ -151,24 +170,26 @@ class SampleKernel:
                     launch_row.append(g + fall * n_gates)
                     clk_to_q.append(node.lib_cell.clk_to_q)
                 continue
-            # What the scalar loop finds present when it reaches this gate.
-            feeds: Dict[str, List[Tuple[int, TimingArc]]] = {t: [] for t in TRANSITIONS}
+            # What the scalar loop finds present when it reaches this gate,
+            # each output transition in the order the loop first writes it.
+            feeds: Dict[str, List[Tuple[int, TimingArc]]] = {}
             for in_net, arc in node.arcs:
                 for in_transition in TRANSITIONS:
                     in_id = ids.get((in_net, in_transition))
                     if in_id is not None:
                         for out_transition in arc.output_transitions(in_transition):
-                            feeds[out_transition].append((in_id, arc))
-            for fall, transition in enumerate(TRANSITIONS):
-                feed = feeds[transition]
-                if not feed:
-                    continue
+                            feeds.setdefault(out_transition, []).append((in_id, arc))
+            for transition, feed in feeds.items():
                 at = 1 + max(level[in_id] for in_id, _ in feed)
                 out_id = add((node.out_net, transition), at)
+                row = g + TRANSITIONS.index(transition) * n_gates
                 for position, (in_id, arc) in enumerate(feed):
-                    arcs.append((at, position, in_id, out_id, g + fall * n_gates,
-                                 *arc.tables_for(transition), node.out_net))
+                    arcs.append((at, position, in_id, out_id, row,
+                                 *arc.tables_for(transition), node.out_net, node.name))
         arcs.sort(key=lambda a: (a[0], a[1]))
+        #: each arc row's predecessor prefix (input net, input transition, gate)
+        self.arc_inputs: List[Tuple[str, str, str]] = [(*self.keys[a[2]], a[8]) for a in arcs]
+        self._arc_out = np.array([a[3] for a in arcs], dtype=np.int64)
         self.n_nodes = len(level)
         self._launch = np.array(launch, dtype=np.int64)
         self._launch_row = np.array(launch_row, dtype=np.int64)
@@ -211,9 +232,12 @@ class SampleKernel:
         net_index = {net: k for k, net in enumerate(nets)}
         self._arc_net = np.array([net_index[a[7]] for a in arcs], dtype=np.int64)
         gate_index = {node.name: g for g, node in enumerate(nodes)}
+        loads = [engine._loads.get(net, []) for net in nets]
         self._sinks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for k in range(max((len(engine._loads.get(n, ())) for n in nets), default=0)):
-            sinks = [engine._loads[n][k] for n in nets if len(engine._loads.get(n, ())) > k]
+        for k in range(len(loads[0]) if loads else 0):
+            while len(loads[-1]) <= k:
+                loads.pop()
+            sinks = [net_loads[k] for net_loads in loads]
             self._sinks.append((len(sinks),
                                 np.array([gate_index[name] for name, _ in sinks], dtype=np.int64),
                                 np.array([cap for _, cap in sinks])[:, None]))
@@ -276,6 +300,40 @@ class SampleKernel:
             return np.empty(0), np.empty(0)
         if not len(self._ends):
             raise ValueError("no endpoints in STA result")
+        arrival, _ = self._propagate(constraints, rise, fall, cap, None)
+        ends = arrival[self._ends]
+        slack = (constraints.clock_period_ps - self._setup) - ends
+        samples = np.arange(n)
+        return (slack[slack.argmin(axis=0), samples],
+                ends[ends.argmax(axis=0), samples])
+
+    def state(self, constraints: TimingConstraints, rise: np.ndarray,
+              fall: np.ndarray, cap: np.ndarray) -> KernelState:
+        """One sample's full timing state: ``StaEngine.run``'s arrivals,
+        slews and predecessors as arrays over the node ids.
+
+        ``rise``, ``fall`` and ``cap`` are ``(n_gates, 1)``.  A node's
+        predecessor is the first arc row, in merge order, whose candidate
+        equals the node's final arrival: the scalar ``candidate > current``
+        rule keeps the first arc that reaches the maximum.
+        """
+        kept = np.empty((len(self._arc_out), 1)), np.empty((len(self._arc_out), 1))
+        arrival, slew = self._propagate(constraints, rise, fall, cap, kept)
+        candidate, delay = kept[0][:, 0], kept[1][:, 0]
+        hit = np.flatnonzero(candidate == arrival[self._arc_out, 0])
+        outs, first = np.unique(self._arc_out[hit], return_index=True)
+        winner = np.full(self.n_nodes, -1, dtype=np.int64)
+        winner[outs] = hit[first]
+        # winner -1 picks the appended 0.0
+        return KernelState(arrival[:, 0], slew[:, 0], winner, np.append(delay, 0.0)[winner])
+
+    def _propagate(self, constraints: TimingConstraints, rise: np.ndarray,
+                   fall: np.ndarray, cap: np.ndarray,
+                   kept: Optional[Tuple[np.ndarray, np.ndarray]]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(n_nodes, S)`` arrivals and slews; with ``kept``, also each
+        arc row's candidate arrival and delay, written into its two arrays."""
+        n = rise.shape[1]
         arrival = np.empty((self.n_nodes, n))
         slew = np.empty((self.n_nodes, n))
         arrival[self._inputs] = constraints.input_arrival_ps
@@ -313,6 +371,9 @@ class SampleKernel:
                 i0, i1, ti = _bracket(x, level.slew_axes)
             out_slew = _lookup(self._values, slew_at, rows, i0, i1, ti)
             candidate = arrival[level.inputs] + delay
+            if kept is not None:
+                kept[0][rows] = candidate
+                kept[1][rows] = delay
             (first, out), *rest = level.merges
             arrival[out] = candidate[first]
             slew[out] = out_slew[first]
@@ -323,12 +384,21 @@ class SampleKernel:
                 arrival[out] = np.where(wins, new, now)
                 merged = out_slew[part]
                 slew[out] = np.where(wins, merged, np.maximum(slew[out], merged))
+        return arrival, slew
 
-        ends = arrival[self._ends]
-        slack = (constraints.clock_period_ps - self._setup) - ends
-        samples = np.arange(n)
-        return (slack[slack.argmin(axis=0), samples],
-                ends[ends.argmax(axis=0), samples])
+
+def derate_columns(engine: StaEngine, derates: Mapping[str, InstanceDerate]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each gate's (rise, fall, cap) scales as ``(n_gates, 1)`` columns in
+    ``engine.nodes`` order, 1.0 where ``derates`` has no entry (``1.0 * x
+    == x``, so a missing base derate composes exactly).  Entries that name
+    no gate are ignored, as the scalar engine ignores them."""
+    scales = [(1.0, 1.0, 1.0) if d is None
+              else (d.delay_rise_scale, d.delay_fall_scale, d.cap_scale)
+              for d in map(derates.get, [node.name for node in engine.nodes])]
+    flat = np.fromiter(chain.from_iterable(scales), np.float64, 3 * len(scales))
+    rise, fall, cap = flat.reshape(-1, 3).T.copy()[:, :, None]
+    return rise, fall, cap
 
 
 def _intern(axes: Sequence[Axis]) -> Tuple[np.ndarray, _AxisBank]:

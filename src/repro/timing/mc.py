@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.cells import StandardCell
 from repro.circuits import Netlist
 from repro.device import AlphaPowerModel
 from repro.place.placer import Placement
+from repro.timing.kernel import derate_columns
 from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 from repro.units import Dimensionless, Picoseconds
 
@@ -114,8 +115,6 @@ _CORRELATED_WAVE_NORM = 2.0
 #: arrays, ~1.2 MB each on a 1000-gate fabric at 32 samples
 MC_BATCH = 32
 
-_NO_DERATE = InstanceDerate()
-
 
 def compose_derates(prior: InstanceDerate, sampled: InstanceDerate) -> InstanceDerate:
     """Multiplicative composition of two per-instance derates.
@@ -149,15 +148,6 @@ def derate_for_delta_l(cell: StandardCell, delta_l: float, model: AlphaPowerMode
         delay_fall_scale=scales["n"],
         cap_scale=new_length / length,
     )
-
-
-def _base_scales(engine: StaEngine,
-                 base: Mapping[str, InstanceDerate]) -> Tuple[np.ndarray, ...]:
-    """Each gate's base (rise, fall, cap) scales as ``(n_gates, 1)`` columns,
-    1.0 where it has no base derate (``1.0 * x == x``)."""
-    scales = [base.get(node.name, _NO_DERATE) for node in engine.nodes]
-    return tuple(np.array([getattr(d, attr) for d in scales]).reshape(-1, 1)
-                 for attr in ("delay_rise_scale", "delay_fall_scale", "cap_scale"))
 
 
 def _per_element(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -215,7 +205,7 @@ def run_corners(
     """
     delta_l = np.repeat([[corner.delta_l_nm for corner in corners]], len(engine.nodes), axis=0)
     wns, _ = engine.sample_kernel().run(constraints or TimingConstraints(), *_delta_l_derates(
-        _drawn(engine, model), model, delta_l, _base_scales(engine, {})))
+        _drawn(engine, model), model, delta_l, derate_columns(engine, {})))
     return {corner.name: value for corner, value in zip(corners, wns.tolist())}
 
 
@@ -278,7 +268,7 @@ def run_monte_carlo(
     kernel = engine.sample_kernel()
     names = [node.name for node in engine.nodes]
     drawn = _drawn(engine, model)
-    base = _base_scales(engine, base_derates or {})
+    base = derate_columns(engine, base_derates or {})
     for start in range(0, samples, MC_BATCH):
         draws = [sample_instance_deltas(engine.netlist, engine.placement, spec, index)
                  for index in range(start, min(start + MC_BATCH, samples))]

@@ -180,6 +180,32 @@ class TestStaleVersion:
         stages.write_text(stages.read_text() + "\n# a trailing comment\n")
         assert main(["lint", str(pkg), "--select", "stale-version"] + args) == 0
 
+    def test_docstring_only_edit_keeps_shape(self, tmp_path, capsys):
+        def documented(pkg, doc):
+            stages = pkg / "stages.py"
+            signature = "def run(self, flow, config, artifacts, counters, context):\n"
+            stages.write_text(stages.read_text().replace(
+                signature, f'{signature}        """{doc}"""\n'))
+
+        pkg = _write_mini_package(tmp_path)
+        documented(pkg, "The alpha knob, passed through.")
+        fingerprints = tmp_path / "fp.json"
+        args = ["--stage-fingerprints", str(fingerprints)]
+        assert main(["lint", str(pkg), "--write-stage-fingerprints"] + args) == 0
+        select = ["lint", str(pkg), "--select", "stale-version"] + args
+
+        _write_mini_package(tmp_path)
+        documented(pkg, "Rewritten: the alpha knob, unchanged, as the artifact.")
+        assert main(select) == 0
+        _write_mini_package(tmp_path)  # the docstring removed
+        assert main(select) == 0
+
+        _write_mini_package(tmp_path, run_extra="1")  # one token of logic
+        documented(pkg, "The alpha knob, passed through.")
+        capsys.readouterr()
+        assert main(select) == 1
+        assert "TinyStage" in capsys.readouterr().out
+
 
     def test_edit_behind_reexported_non_role_call_is_flagged(self, tmp_path, capsys):
         # run() hands the helper no role-bound name, and reaches it only

@@ -39,12 +39,12 @@ def model(tech):
 
 
 def assert_results_equal(a, b):
-    assert set(a.arrivals) == set(b.arrivals)
-    for key in a.arrivals:
-        assert a.arrivals[key] == pytest.approx(b.arrivals[key], abs=1e-9), key
-        assert a.slews[key] == pytest.approx(b.slews[key], abs=1e-9), key
-    slacks_a = sorted((e.net, e.transition, round(e.slack, 9)) for e in a.endpoints)
-    slacks_b = sorted((e.net, e.transition, round(e.slack, 9)) for e in b.endpoints)
+    """Exact: both retime paths are == to a full run."""
+    assert a.arrivals == b.arrivals
+    assert a.slews == b.slews
+    assert a.predecessors == b.predecessors
+    slacks_a = sorted((e.net, e.transition, e.slack) for e in a.endpoints)
+    slacks_b = sorted((e.net, e.transition, e.slack) for e in b.endpoints)
     assert slacks_a == slacks_b
 
 

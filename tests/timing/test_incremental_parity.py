@@ -3,18 +3,21 @@
 Exercises the incremental re-timing path on large registered vehicles
 (the structured-ASIC fabric) under randomized mixed derates — delay
 scales, ``cap_scale`` load changes, and ``failed`` quarantine flags — and
-requires *bit-identical* arrivals, slews, and endpoint slacks, not
-approximate agreement.  Also pins the reconvergent-fanout merge: a
-re-timed cone that rejoins itself must not leave a stale worst-slew
-behind (the bug class this file guards).
+requires *bit-identical* arrivals, slews, predecessors and endpoint
+slacks, not approximate agreement.  Covers both sides of the path
+selection: large cones take one kernel pass, small cones the cone splice.
+Also pins the reconvergent-fanout merge: a re-timed cone that rejoins
+itself must not leave a stale worst-slew behind (the bug class this file
+guards).
 """
 
+import math
 import random
 
 import pytest
 
 from repro.cells import build_library
-from repro.circuits import structured_asic
+from repro.circuits import c17, random_logic, structured_asic
 from repro.circuits.netlist import Netlist
 from repro.device import AlphaPowerModel
 from repro.pdk import make_tech_90nm
@@ -29,6 +32,7 @@ from repro.timing import (
     retime,
     run_incremental,
 )
+from repro.timing.kernel import SampleKernel
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +62,7 @@ def assert_bit_identical(a, b):
     assert set(a.arrivals) == set(b.arrivals)
     assert a.arrivals == b.arrivals
     assert a.slews == b.slews
+    assert a.predecessors == b.predecessors
     ea = sorted((e.net, e.transition, e.arrival, e.required) for e in a.endpoints)
     eb = sorted((e.net, e.transition, e.arrival, e.required) for e in b.endpoints)
     assert ea == eb
@@ -139,6 +144,101 @@ class TestFabricParity:
         assert offenders == []
         # and the cone is a small fraction of a 400-gate fabric
         assert len(cone) < len(netlist.gates) / 4
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """The kernels that ran a ``SampleKernel.state`` pass, one entry per pass."""
+    passes = []
+    state = SampleKernel.state
+
+    def counted(kernel, *args):
+        passes.append(kernel)
+        return state(kernel, *args)
+
+    monkeypatch.setattr(SampleKernel, "state", counted)
+    return passes
+
+
+def nearest_gates(engine, pivot, k=24):
+    """The ``k`` gates placed nearest ``pivot``: a localized what-if."""
+    centers = {name: engine.placement.gates[name].bbox.center
+               for name in engine.netlist.gates}
+    at = centers[pivot]
+    return set(sorted(centers, key=lambda n: (
+        (centers[n].x - at.x) ** 2 + (centers[n].y - at.y) ** 2, n))[:k])
+
+
+class TestPathSelection:
+    """Large cones take one kernel pass, small ones the cone splice; both
+    are == a full run."""
+
+    CONSTRAINTS = TimingConstraints(clock_period_ps=900.0)
+
+    def retime_from_scratch(self, engine, derates, changed=None):
+        baseline = engine.run(self.CONSTRAINTS)
+        if changed is None:
+            changed = diff_derates({}, derates)
+        return run_incremental(engine, baseline, changed, self.CONSTRAINTS, derates)
+
+    @pytest.mark.parametrize("where", ["everywhere", "cluster"])
+    def test_fabric_takes_the_kernel_path(self, fabric_engine, kernel_passes, where):
+        netlist, engine = fabric_engine
+        if where == "everywhere":
+            derates = random_derates(netlist, random.Random(14), 1.0)
+        else:
+            derates = {name: InstanceDerate(1.06, 1.05, 1.03)
+                       for name in nearest_gates(engine, "s1_c0_g0")}
+        full = engine.run(self.CONSTRAINTS, derates)
+        incremental = self.retime_from_scratch(engine, derates)
+        assert len(kernel_passes) == 1
+        assert_bit_identical(full, incremental)
+        # the kernel writes its dicts in the full run's insertion order
+        assert list(incremental.arrivals) == list(full.arrivals)
+        assert list(incremental.predecessors) == list(full.predecessors)
+
+    @pytest.mark.parametrize("design", ["c17", "random_logic20"])
+    def test_small_designs_take_the_scalar_path(self, lib, liberty, kernel_passes,
+                                                design):
+        netlist = c17(lib) if design == "c17" else random_logic(20, seed=2)
+        engine = StaEngine(netlist, lib, liberty, place_rows(netlist, lib))
+        # every gate changes, so the cone is the whole design
+        derates = random_derates(netlist, random.Random(5), 1.0)
+        incremental = self.retime_from_scratch(engine, derates)
+        assert kernel_passes == []
+        assert engine._kernel is None
+        assert_bit_identical(engine.run(self.CONSTRAINTS, derates), incremental)
+
+    def test_entry_naming_no_gate_is_ignored_on_the_kernel_path(
+            self, fabric_engine, kernel_passes):
+        netlist, engine = fabric_engine
+        derates = random_derates(netlist, random.Random(15), 1.0)
+        changed = diff_derates({}, derates)
+        derates["no_such_gate"] = InstanceDerate(2.0, 2.0, 2.0)
+        incremental = self.retime_from_scratch(engine, derates, changed)
+        assert len(kernel_passes) == 1
+        assert_bit_identical(engine.run(self.CONSTRAINTS, derates), incremental)
+        del derates["no_such_gate"]
+        assert_bit_identical(engine.run(self.CONSTRAINTS, derates), incremental)
+
+    def test_non_finite_scale_takes_the_scalar_path(self, fabric_engine, kernel_passes):
+        netlist, engine = fabric_engine
+        derates = random_derates(netlist, random.Random(16), 1.0, with_failed=False)
+        derates["s1_c0_g0"] = InstanceDerate(delay_rise_scale=math.inf)
+        incremental = self.retime_from_scratch(engine, derates)
+        assert kernel_passes == []
+        assert math.inf in incremental.arrivals.values()
+        assert_bit_identical(engine.run(self.CONSTRAINTS, derates), incremental)
+
+    def test_empty_change_set_builds_no_kernel(self, fabric_engine, lib, liberty,
+                                               kernel_passes):
+        netlist, built = fabric_engine
+        engine = StaEngine(netlist, lib, liberty, built.placement)
+        baseline = engine.run(self.CONSTRAINTS)
+        incremental = run_incremental(engine, baseline, set(), self.CONSTRAINTS, {})
+        assert kernel_passes == []
+        assert engine._kernel is None
+        assert_bit_identical(baseline, incremental)
 
 
 class TestReconvergentFanout:

@@ -3,7 +3,9 @@
 ``run_monte_carlo`` and ``run_corners`` run every sample through
 ``repro.timing.kernel.SampleKernel``.  Each sample's WNS and critical delay
 must equal, under ``==``, one ``StaEngine.run`` on derates built gate by
-gate with ``derate_for_delta_l`` and ``compose_derates``.
+gate with ``derate_for_delta_l`` and ``compose_derates``.  A large what-if
+through ``run_incremental`` is one single-sample kernel pass; its arrivals,
+slews, predecessors and endpoints must equal a full ``StaEngine.run``.
 """
 
 import dataclasses
@@ -23,10 +25,11 @@ from repro.timing import (
     TimingConstraints,
     characterize_library,
     run_corners,
+    run_incremental,
     run_monte_carlo,
 )
 from repro.timing import LibertyLibrary, mc
-from repro.timing.kernel import _AxisBank, _bracket
+from repro.timing.kernel import SampleKernel, _AxisBank, _bracket, derate_columns
 from repro.timing.liberty import _bracket as scalar_bracket
 from repro.timing.mc import DEFAULT_CORNERS, MC_BATCH, CdVariationSpec, CornerSpec
 
@@ -156,7 +159,7 @@ def test_derate_arrays_match_derate_for_delta_l(lib, liberty, model):
              for i in range(8)]
     delta_l = np.array([[d[node.name] for node in engine.nodes] for d in draws]).T.copy()
     rise, fall, cap = mc._delta_l_derates(mc._drawn(engine, model), model, delta_l,
-                                          mc._base_scales(engine, base))
+                                          derate_columns(engine, base))
     for s, deltas in enumerate(draws):
         expected = scalar_derates(engine, model, deltas, base)
         got = [(rise[g, s], fall[g, s], cap[g, s]) for g in range(len(engine.nodes))]
@@ -242,3 +245,44 @@ def test_fabric1k_parity(lib, liberty, model):
         engine, model, 64, SPEC, CONSTRAINTS, base)
     assert (run_corners(engine, model, CONSTRAINTS)
             == scalar_corners(engine, model, CONSTRAINTS, DEFAULT_CORNERS))
+
+
+@pytest.mark.slow
+def test_fabric1k_whatif_parity(lib, liberty, monkeypatch):
+    """24 localized what-ifs on the 1k-gate fabric, each derating the 24
+    gates placed nearest a random gate on top of a base annotation, all on
+    the kernel path and each == a full ``StaEngine.run``."""
+    netlist = structured_asic(1000, seed=1)
+    engine = StaEngine(netlist, lib, liberty, place_rows(netlist, lib))
+    passes = []
+    state = SampleKernel.state
+
+    def counted(kernel, *args):
+        passes.append(kernel)
+        return state(kernel, *args)
+
+    monkeypatch.setattr(SampleKernel, "state", counted)
+    base = mixed_base(engine)
+    previous = engine.run(CONSTRAINTS, base)
+    names = sorted(netlist.gates)
+    centers = {name: engine.placement.gates[name].bbox.center for name in names}
+    rng = random.Random(17)
+    for _ in range(24):
+        pivot = centers[rng.choice(names)]
+        near = sorted(names, key=lambda n: (
+            (centers[n].x - pivot.x) ** 2 + (centers[n].y - pivot.y) ** 2, n))[:24]
+        scale = 1.0 + rng.uniform(0.02, 0.08)
+        derates = dict(base)
+        for name in near:
+            old = base.get(name, InstanceDerate())
+            derates[name] = dataclasses.replace(
+                old, delay_rise_scale=old.delay_rise_scale * scale,
+                delay_fall_scale=old.delay_fall_scale * scale,
+                cap_scale=old.cap_scale * (1.0 + (scale - 1.0) / 2))
+        result = run_incremental(engine, previous, set(near), CONSTRAINTS, derates)
+        full = engine.run(CONSTRAINTS, derates)
+        assert result.arrivals == full.arrivals
+        assert result.slews == full.slews
+        assert result.predecessors == full.predecessors
+        assert result.endpoints == full.endpoints
+    assert len(passes) == 24
