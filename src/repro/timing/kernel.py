@@ -8,7 +8,7 @@ delay.  ``state`` takes one sample and returns the whole timing state:
 arrivals, slews and each node's winning arc, from which
 ``run_incremental`` rebuilds ``StaEngine.run``'s result dicts for a large
 what-if.  Both run the one level loop, ``_propagate``; only ``state``
-keeps each arc's candidate arrival and delay.
+keeps each arc's delay.
 
 For finite derates the results equal ``StaEngine.run(constraints,
 derates).wns`` and ``.critical_delay`` under ``==``.  The kernel repeats
@@ -21,14 +21,15 @@ the scalar engine's IEEE operations in the scalar engine's order:
   ``TimingTable.lookup``: the load axis first, then
   ``bottom*(1-ti) + top*ti``;
 - ``delay = lookup*scale + wire``;
-- an output merges its arcs one merge position at a time, keeping the
-  scalar engine's order-dependent slew merge (a later arc that wins on
-  arrival replaces the slew merged so far).
+- an output's arcs sit in consecutive rows in merge order and merge in
+  three segmented reductions (``_merge``) that keep the scalar engine's
+  order-dependent slew merge.
 
 Which ``(net, transition)`` nodes exist and which arcs feed them does not
-depend on the derates, so the graph is fixed when the kernel is built.
-The scalar engine stays the oracle, the drawn-STA and hold path, and the
-what-if path for small cones.
+depend on the derates, so the graph is fixed when the kernel is built,
+with what a Monte-Carlo draw needs of the engine (``gate_order``,
+``cells``, ``centres``).  The scalar engine stays the oracle, the
+drawn-STA and hold path, and the what-if path for small cones.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import numpy as np
 from repro.timing.liberty import TRANSITIONS, TimingArc, TimingTable
 
 if TYPE_CHECKING:
+    from repro.circuits import Netlist
+    from repro.place.placer import Placement
     from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 
 Axis = Tuple[float, ...]
@@ -51,11 +54,13 @@ class _Axes(NamedTuple):
     """One table axis per row, laid out for a vectorized ``_bracket``."""
 
     groups: Tuple[Tuple[np.ndarray, Union[slice, np.ndarray]], ...]  # (axis, its rows)
-    first: np.ndarray    # (rows, 1) axis[0]
-    last: np.ndarray     # (rows, 1) axis[-1]
-    top: np.ndarray      # (rows, 1) len(axis) - 1
-    start: np.ndarray    # (rows, 1) where axis[0] sits in ``guarded``
+    # (rows, 1) columns, or scalars when every row is on one axis:
+    first: np.ndarray    # axis[0]
+    last: np.ndarray     # axis[-1]
+    top: np.ndarray      # len(axis) - 1
+    start: np.ndarray    # where axis[0] sits in ``guarded``
     guarded: np.ndarray  # every axis flat, with a finite guard on each side
+    previous: np.ndarray  # ``guarded`` shifted by one: previous[k] = guarded[k - 1]
 
 
 class _AxisBank:
@@ -74,6 +79,7 @@ class _AxisBank:
             guarded[row, 0] = axis[0] - 1.0
             guarded[row, 1:len(axis) + 1] = axis
         self.guarded = guarded.ravel()
+        self.previous = np.concatenate(([0.0], self.guarded[:-1]))
 
     def rows(self, ids: np.ndarray) -> _Axes:
         """The axes ``ids`` name, one per row."""
@@ -81,44 +87,95 @@ class _AxisBank:
         groups: Tuple[Tuple[np.ndarray, Union[slice, np.ndarray]], ...] = (
             ((self.axes[distinct[0]], slice(None)),) if len(distinct) == 1
             else tuple((self.axes[k], np.flatnonzero(ids == k)) for k in distinct))
-        column = ids[:, None]
+        # one axis: scalars, which broadcast faster than columns
+        column = distinct[0] if len(distinct) == 1 else ids[:, None]
         return _Axes(groups, self.first[column], self.last[column], self.top[column],
-                     column * self.width + 1, self.guarded)
+                     column * self.width + 1, self.guarded, self.previous)
 
 
 def _bracket(x: np.ndarray, axes: _Axes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``liberty._bracket`` for every element of ``x`` (rows, S); row r on axis r."""
-    below = x <= axes.first
-    inner = ~(below | (x >= axes.last))
-    hi = np.empty(x.shape, dtype=np.int64)
-    for axis, rows in axes.groups:
-        hi[rows] = np.searchsorted(axis, x[rows], side="right")  # bisect_right
-    lo = hi - 1
-    at = axes.start + lo
-    a_lo = axes.guarded.take(at)
-    t = np.where(inner, (x - a_lo) / (axes.guarded.take(at + 1) - a_lo), 0.0)
-    edge = np.where(below, 0, axes.top)
-    return np.where(inner, lo, edge), np.where(inner, hi, edge), t
+    inside = x < axes.last
+    inner = (x > axes.first) & inside
+    edge = np.where(inside, 0, axes.top)  # outside ``inner``, ``x < last`` means below
+    if len(axes.groups) == 1:
+        hi = np.searchsorted(axes.groups[0][0], x, side="right")  # bisect_right
+    else:
+        hi = np.empty(x.shape, dtype=np.int64)
+        for axis, rows in axes.groups:
+            hi[rows] = np.searchsorted(axis, x[rows], side="right")
+    at = axes.start + hi
+    a_lo = axes.previous.take(at)
+    t = np.where(inner, (x - a_lo) / (axes.guarded.take(at) - a_lo), 0.0)
+    return np.where(inner, hi - 1, edge), np.where(inner, hi, edge), t
 
 
-def _lookup(values: np.ndarray, load_side: Tuple[np.ndarray, ...], rows: slice,
+def _lookup(values: np.ndarray, at: np.ndarray, weight: np.ndarray,
             i0: np.ndarray, i1: np.ndarray, ti: np.ndarray) -> np.ndarray:
-    """``TimingTable.lookup`` for a level's arcs.  ``load_side`` holds each
-    arc's flat index of ``v[0][j0]`` and ``v[0][j1]``, ``1 - tj`` and ``tj``."""
-    j0, j1, u, tj = (a[rows] for a in load_side)
+    """``TimingTable.lookup`` for a level's arcs on their delay and their
+    slew tables at once: ``(2, rows, S)``, the delay first.
+
+    ``at`` holds each arc's flat index of ``v[0][j0]`` and ``v[0][j1]``, and
+    ``weight`` its ``1 - tj`` and ``tj``: ``(2, 2, rows, S)``, the table
+    second.  The slew side ``i0``, ``i1`` and ``ti`` are ``(rows, S)`` when
+    both tables share their slew axis, else ``(2, rows, S)``."""
+    (j0, j1), (u, tj) = at, weight
     bottom = values.take(j0 + i0) * u + values.take(j1 + i0) * tj
     top = values.take(j0 + i1) * u + values.take(j1 + i1) * tj
     return bottom * (1 - ti) + top * ti
 
 
+_NO_ROW = np.iinfo(np.int64).max  # above every row id
+
+
+def _merge(candidate: np.ndarray, out_slew: np.ndarray, row: np.ndarray,
+           starts: np.ndarray, segment: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each output's merged arrival, slew and winning row, ``(outputs, S)``.
+
+    An output's arcs are consecutive rows from its ``starts`` entry, in merge
+    order; ``segment`` names each row's output and ``row`` its id, ``(rows,
+    1)`` ascending.  The arrival is the max candidate, the winner the first
+    row attaining it, and the slew the max over the rows from the winner on:
+    the scalar ``candidate > current`` merge, in which a later arc that wins
+    on arrival replaces the slew merged so far."""
+    best = np.maximum.reduceat(candidate, starts)
+    first = np.minimum.reduceat(
+        np.where(candidate == best.take(segment, axis=0), row, _NO_ROW), starts)
+    onward = row >= first.take(segment, axis=0)
+    return best, np.maximum.reduceat(np.where(onward, out_slew, -np.inf), starts), first
+
+
 class _Level(NamedTuple):
-    """The arcs feeding one level's outputs, merge position by merge position."""
+    """The arcs feeding one level's outputs, each output's arcs consecutive."""
 
     arcs: slice                # rows of the kernel's per-arc arrays
+    row: np.ndarray            # (arcs, 1) the same rows as ids
     inputs: np.ndarray         # input node id per arc
+    scale_row: np.ndarray      # the row of its gate's rise or fall scale, per arc
+    net: np.ndarray            # its output net's load index, per arc
+    pair: np.ndarray           # (2, arcs) its delay and slew table's load pair
+    table_base: np.ndarray     # (2, arcs, 1) where those tables start in the values
     delay_axes: _Axes          # the delay tables' slew axes
     slew_axes: Optional[_Axes]  # the slew tables' slew axes; None if the same
-    merges: List[Tuple[slice, np.ndarray]]  # (level-local arc rows, their output ids)
+    outputs: np.ndarray        # the level's output ids, in row order
+    starts: np.ndarray         # each output's first level-local row
+    segment: np.ndarray        # each row's index into ``outputs``
+
+
+#: per axis (x, y): the distinct centre coordinates (nm, ascending) and
+#: each gate's index into them, in ``netlist.gates`` order
+Centres = Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def gate_centres(netlist: Netlist, placement: Optional[Placement]) -> Optional[Centres]:
+    """Each gate's bounding-box centre, ``(x0 + x1) / 2`` as ``bbox.center``
+    computes it, interned per axis; None when unplaced."""
+    if placement is None:
+        return None
+    boxes = [placement.gates[name].bbox for name in netlist.gates]
+    return (np.unique([(box.x0 + box.x1) / 2 for box in boxes], return_inverse=True),
+            np.unique([(box.y0 + box.y1) / 2 for box in boxes], return_inverse=True))
 
 
 class KernelState(NamedTuple):
@@ -186,7 +243,7 @@ class SampleKernel:
                 for position, (in_id, arc) in enumerate(feed):
                     arcs.append((at, position, in_id, out_id, row,
                                  *arc.tables_for(transition), node.out_net, node.name))
-        arcs.sort(key=lambda a: (a[0], a[1]))
+        arcs.sort(key=lambda a: (a[0], a[3], a[1]))
         #: each arc row's predecessor prefix (input net, input transition, gate)
         self.arc_inputs: List[Tuple[str, str, str]] = [(*self.keys[a[2]], a[8]) for a in arcs]
         self._arc_out = np.array([a[3] for a in arcs], dtype=np.int64)
@@ -196,16 +253,9 @@ class SampleKernel:
         self._clk_to_q = np.array(clk_to_q)[:, None]
 
         # Tables, their values transposed to (table, load, slew), and axes.
-        table_index: Dict[int, int] = {}
-        tables: List[TimingTable] = []
-        delay_ids: List[int] = []
-        slew_ids: List[int] = []
-        for arc in arcs:
-            for table, out in zip(arc[5:7], (delay_ids, slew_ids)):
-                if id(table) not in table_index:
-                    table_index[id(table)] = len(tables)
-                    tables.append(table)
-                out.append(table_index[id(table)])
+        by_id = {id(table): table for a in arcs for table in a[5:7]}
+        tables = list(by_id.values())
+        table_index = {key: k for k, key in enumerate(by_id)}
         n_slews = max((len(t.slews) for t in tables), default=0)
         n_loads = max((len(t.loads) for t in tables), default=0)
         values = np.zeros((len(tables), n_loads, n_slews))
@@ -213,24 +263,27 @@ class SampleKernel:
             values[k, :len(table.loads), :len(table.slews)] = np.array(table.values).T
         self._values = values.ravel()  # v[i][j] of table k at (k*n_loads + j)*n_slews + i
         self._n_slews = n_slews
-        delay_table = np.array(delay_ids, dtype=np.int64)
-        slew_table = np.array(slew_ids, dtype=np.int64)
-        self._delay_base = (delay_table * n_loads * n_slews)[:, None]
-        self._slew_base = (slew_table * n_loads * n_slews)[:, None]
+        delay_table, slew_table = (np.array([table_index[id(a[k])] for a in arcs], dtype=np.int64)
+                                   for k in (5, 6))
+        table_base = (np.stack((delay_table, slew_table)) * n_loads * n_slews)[:, :, None]
         slew_axis, slew_bank = _intern([t.slews for t in tables])
-        load_axis, load_bank = _intern([t.loads for t in tables])
-        self._delay_load_axes = load_bank.rows(load_axis[delay_table])
-        self._slew_load_axes = (None if np.array_equal(load_axis[delay_table],
-                                                   load_axis[slew_table])
-                            else load_bank.rows(load_axis[slew_table]))
-        self._scale_row = np.array([a[4] for a in arcs], dtype=np.int64)
+        scale_row = np.array([a[4] for a in arcs], dtype=np.int64)
 
         # Loads: the nets the arcs drive, most sinks first, so the k-th
         # sink of every net with more than k sinks is one leading slice.
         nets = sorted(dict.fromkeys(a[7] for a in arcs),
                       key=lambda net: -len(engine._loads.get(net, ())))
         net_index = {net: k for k, net in enumerate(nets)}
-        self._arc_net = np.array([net_index[a[7]] for a in arcs], dtype=np.int64)
+        arc_net = np.array([net_index[a[7]] for a in arcs], dtype=np.int64)
+        # The load side brackets once per (net, load axis) pair.
+        load_axis, load_bank = _intern([t.loads for t in tables])
+        n_axes = len(load_bank.axes)
+        pairs, pair = np.unique(arc_net * n_axes + load_axis[np.stack((delay_table, slew_table))],
+                                return_inverse=True)
+        #: each arc's (delay, slew) table's pair: (2, arcs)
+        self._pair = pair = pair.reshape(2, -1)
+        self._pair_net = pairs // max(n_axes, 1)
+        self._pair_axes = load_bank.rows(pairs % max(n_axes, 1))
         gate_index = {node.name: g for g, node in enumerate(nodes)}
         loads = [engine._loads.get(net, []) for net in nets]
         self._sinks: List[Tuple[int, np.ndarray, np.ndarray]] = []
@@ -242,51 +295,48 @@ class SampleKernel:
                                 np.array([gate_index[name] for name, _ in sinks], dtype=np.int64),
                                 np.array([cap for _, cap in sinks])[:, None]))
         model = engine.wire_model
-        lengths = [engine._hpwl.get(net, 0.0) for net in nets]
-        self._wire_cap = np.array([length * model.c_per_nm for length in lengths])[:, None]
-        self._wired = np.array([k for k, length in enumerate(lengths) if length != 0.0],
-                               dtype=np.int64)
-        self._wire_r = np.array([lengths[k] * model.r_per_nm for k in self._wired])[:, None]
-        self._wire_c_half = np.array(
-            [lengths[k] * model.c_per_nm / 2 for k in self._wired])[:, None]
+        lengths = np.array([engine._hpwl.get(net, 0.0) for net in nets], dtype=np.float64)
+        self._wire_cap = (lengths * model.c_per_nm)[:, None]
+        self._wired = np.flatnonzero(lengths != 0.0)
+        self._wire_r = (lengths[self._wired] * model.r_per_nm)[:, None]
+        self._wire_c_half = (lengths[self._wired] * model.c_per_nm / 2)[:, None]
         outputs = set(engine.netlist.outputs)
         self._po = np.array([k for k, net in enumerate(nets) if net in outputs], dtype=np.int64)
 
-        # Levels, each split by merge position.
+        # Levels, each output's arcs one segment of consecutive rows.
         self._levels: List[_Level] = []
         shared_slews = np.array_equal(slew_axis[delay_table], slew_axis[slew_table])
         begin = 0
         for _, group in groupby(arcs, key=lambda a: a[0]):
             level_arcs = list(group)
             rows = slice(begin, begin + len(level_arcs))
-            merges: List[Tuple[slice, np.ndarray]] = []
-            for _, same in groupby(level_arcs, key=lambda a: a[1]):
-                position = list(same)
-                part = merges[-1][0].stop if merges else 0
-                merges.append((slice(part, part + len(position)),
-                               np.array([a[3] for a in position], dtype=np.int64)))
+            out = self._arc_out[rows]
+            new = np.concatenate(([True], out[1:] != out[:-1]))
             self._levels.append(_Level(
-                rows, np.array([a[2] for a in level_arcs], dtype=np.int64),
+                rows, np.arange(rows.start, rows.stop)[:, None],
+                np.array([a[2] for a in level_arcs], dtype=np.int64), scale_row[rows],
+                arc_net[rows], pair[:, rows], table_base[:, rows],
                 slew_bank.rows(slew_axis[delay_table[rows]]),
                 None if shared_slews else slew_bank.rows(slew_axis[slew_table[rows]]),
-                merges))
+                out[new], np.flatnonzero(new), np.cumsum(new) - 1))
             begin = rows.stop
 
-        # Endpoints, in ``StaEngine._collect_endpoints`` order.
-        ends: List[int] = []
-        setup: List[float] = []
-        for net in engine.netlist.outputs:
-            for transition in TRANSITIONS:
-                if (net, transition) in ids:
-                    ends.append(ids[(net, transition)])
-                    setup.append(0.0)
-        for reg in engine.registers:
-            for transition in TRANSITIONS:
-                if (reg.d_net, transition) in ids:
-                    ends.append(ids[(reg.d_net, transition)])
-                    setup.append(reg.lib_cell.setup_time)
-        self._ends = np.array(ends, dtype=np.int64)
-        self._setup = np.array(setup)[:, None]
+        # Endpoints, in ``StaEngine._collect_endpoints`` order, and their setup times.
+        ends = [(ids[(net, t)], 0.0) for net in engine.netlist.outputs
+                for t in TRANSITIONS if (net, t) in ids]
+        ends += [(ids[(reg.d_net, t)], reg.lib_cell.setup_time) for reg in engine.registers
+                 for t in TRANSITIONS if (reg.d_net, t) in ids]
+        self._ends = np.array([end for end, _ in ends], dtype=np.int64)
+        self._setup = np.array([setup for _, setup in ends])[:, None]
+
+        # What a Monte-Carlo draw needs of the engine: per gate, in
+        # ``engine.nodes`` order, its index in ``netlist.gates`` and in ``cells``.
+        netlist_index = {name: k for k, name in enumerate(engine.netlist.gates)}
+        self.gate_order = np.array([netlist_index[node.name] for node in nodes], dtype=np.int64)
+        by_name = {node.cell.name: node.cell for node in nodes}
+        names, self.cell_of = np.unique([node.cell.name for node in nodes], return_inverse=True)
+        self.cells = [by_name[name] for name in names.tolist()]
+        self.centres = gate_centres(engine.netlist, engine.placement)
 
     def run(self, constraints: TimingConstraints, rise: np.ndarray,
             fall: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -300,7 +350,7 @@ class SampleKernel:
             return np.empty(0), np.empty(0)
         if not len(self._ends):
             raise ValueError("no endpoints in STA result")
-        arrival, _ = self._propagate(constraints, rise, fall, cap, None)
+        arrival, _, _ = self._propagate(constraints, rise, fall, cap, None)
         ends = arrival[self._ends]
         slack = (constraints.clock_period_ps - self._setup) - ends
         samples = np.arange(n)
@@ -310,81 +360,57 @@ class SampleKernel:
     def state(self, constraints: TimingConstraints, rise: np.ndarray,
               fall: np.ndarray, cap: np.ndarray) -> KernelState:
         """One sample's full timing state: ``StaEngine.run``'s arrivals,
-        slews and predecessors as arrays over the node ids.
-
-        ``rise``, ``fall`` and ``cap`` are ``(n_gates, 1)``.  A node's
-        predecessor is the first arc row, in merge order, whose candidate
-        equals the node's final arrival: the scalar ``candidate > current``
-        rule keeps the first arc that reaches the maximum.
-        """
-        kept = np.empty((len(self._arc_out), 1)), np.empty((len(self._arc_out), 1))
-        arrival, slew = self._propagate(constraints, rise, fall, cap, kept)
-        candidate, delay = kept[0][:, 0], kept[1][:, 0]
-        hit = np.flatnonzero(candidate == arrival[self._arc_out, 0])
-        outs, first = np.unique(self._arc_out[hit], return_index=True)
-        winner = np.full(self.n_nodes, -1, dtype=np.int64)
-        winner[outs] = hit[first]
-        # winner -1 picks the appended 0.0
-        return KernelState(arrival[:, 0], slew[:, 0], winner, np.append(delay, 0.0)[winner])
+        slews and predecessors (each merge's winner, ``_merge``) as arrays
+        over the node ids.  ``rise``, ``fall`` and ``cap`` are ``(n_gates, 1)``."""
+        delay = np.zeros(len(self._arc_out) + 1)  # winner -1 picks the last 0.0
+        arrival, slew, winner = self._propagate(constraints, rise, fall, cap, delay[:-1, None])
+        return KernelState(arrival[:, 0], slew[:, 0], winner[:, 0], delay[winner[:, 0]])
 
     def _propagate(self, constraints: TimingConstraints, rise: np.ndarray,
-                   fall: np.ndarray, cap: np.ndarray,
-                   kept: Optional[Tuple[np.ndarray, np.ndarray]]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(n_nodes, S)`` arrivals and slews; with ``kept``, also each
-        arc row's candidate arrival and delay, written into its two arrays."""
+                   fall: np.ndarray, cap: np.ndarray, kept: Optional[np.ndarray]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(n_nodes, S)`` arrivals, slews and winning arc rows (-1 at
+        inputs and register outputs); with ``kept``, also each arc row's
+        delay, written into it."""
         n = rise.shape[1]
-        arrival = np.empty((self.n_nodes, n))
-        slew = np.empty((self.n_nodes, n))
+        arrival, slew = np.empty((2, self.n_nodes, n))
+        winner = np.full((self.n_nodes, n), -1, dtype=np.int64)
         arrival[self._inputs] = constraints.input_arrival_ps
         slew[self._inputs] = constraints.input_slew_ps
         scales = np.concatenate((rise, fall))
-        arrival[self._launch] = self._clk_to_q * scales[self._launch_row]
+        arrival[self._launch] = self._clk_to_q * scales.take(self._launch_row, axis=0)
         slew[self._launch] = constraints.input_slew_ps
 
-        # Everything that depends on the loads only, for every arc at once.
+        # Everything that depends on the loads only, once per (net, load axis) pair.
         load = np.zeros((len(self._wire_cap), n))
         for count, gates, caps in self._sinks:
-            load[:count] += caps * cap[gates]
+            load[:count] += caps * cap.take(gates, axis=0)
         load += self._wire_cap
         load[self._po] += constraints.output_load_ff
         wire = np.zeros_like(load)
         wire[self._wired] = self._wire_r * (self._wire_c_half + load[self._wired])
-        arc_load = load[self._arc_net]
-        arc_wire = wire[self._arc_net]
-        arc_scale = scales[self._scale_row]
-        j0, j1, tj = _bracket(arc_load, self._delay_load_axes)
-        delay_at = (self._delay_base + j0 * self._n_slews,
-                    self._delay_base + j1 * self._n_slews, 1 - tj, tj)
-        if self._slew_load_axes is not None:
-            j0, j1, tj = _bracket(arc_load, self._slew_load_axes)
-        slew_at = (self._slew_base + j0 * self._n_slews,
-                   self._slew_base + j1 * self._n_slews, 1 - tj, tj)
+        j0, j1, tj = _bracket(load.take(self._pair_net, axis=0), self._pair_axes)
+        pair_at = np.stack((j0, j1)) * self._n_slews
+        pair_weight = np.stack((1 - tj, tj))
 
         for level in self._levels:
             rows = level.arcs
-            x = slew[level.inputs]
-            i0, i1, ti = _bracket(x, level.delay_axes)
-            delay = (_lookup(self._values, delay_at, rows, i0, i1, ti) * arc_scale[rows]
-                     + arc_wire[rows])
+            x = slew.take(level.inputs, axis=0)
+            slew_side = _bracket(x, level.delay_axes)
             if level.slew_axes is not None:
-                i0, i1, ti = _bracket(x, level.slew_axes)
-            out_slew = _lookup(self._values, slew_at, rows, i0, i1, ti)
-            candidate = arrival[level.inputs] + delay
+                slew_side = tuple(map(np.stack, zip(slew_side, _bracket(x, level.slew_axes))))
+            table_delay, out_slew = _lookup(
+                self._values, level.table_base + pair_at.take(level.pair, axis=1),
+                pair_weight.take(level.pair, axis=1), *slew_side)
+            delay = (table_delay * scales.take(level.scale_row, axis=0)
+                     + wire.take(level.net, axis=0))
+            candidate = arrival.take(level.inputs, axis=0) + delay
             if kept is not None:
-                kept[0][rows] = candidate
-                kept[1][rows] = delay
-            (first, out), *rest = level.merges
-            arrival[out] = candidate[first]
-            slew[out] = out_slew[first]
-            for part, out in rest:
-                now = arrival[out]
-                new = candidate[part]
-                wins = new > now
-                arrival[out] = np.where(wins, new, now)
-                merged = out_slew[part]
-                slew[out] = np.where(wins, merged, np.maximum(slew[out], merged))
-        return arrival, slew
+                kept[rows] = delay
+            (arrival[level.outputs], slew[level.outputs],
+             winner[level.outputs]) = _merge(candidate, out_slew, level.row,
+                                             level.starts, level.segment)
+        return arrival, slew, winner
 
 
 def derate_columns(engine: StaEngine, derates: Mapping[str, InstanceDerate]

@@ -9,11 +9,12 @@ the corners are.
 
 Both run their samples (a corner is a sample with the same delta-L on every
 gate) through the engine's batched kernel (``repro.timing.kernel``), up to
-``MC_BATCH`` at a time: the derates of a whole batch are built as arrays,
-and one level-by-level pass times every sample of the batch.  Each sample's
-WNS equals ``StaEngine.run`` on that sample's derates under ``==``.  The
-deltas are still drawn one sample at a time by ``sample_instance_deltas``,
-so the random stream does not depend on the batching.
+``MC_BATCH`` at a time.  A batch is arrays from draw to WNS: ``draw_delta_l``
+draws every sample's CD field at once, the derates are built as arrays, and
+one level-by-level pass times every sample.  Each sample's WNS equals
+``StaEngine.run`` on that sample's derates under ``==``.  Each sample keeps
+its own ``random.Random`` stream, keyed by the spec seed and the sample
+index, so the deltas do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.cells import StandardCell
 from repro.circuits import Netlist
 from repro.device import AlphaPowerModel
 from repro.place.placer import Placement
-from repro.timing.kernel import derate_columns
+from repro.timing.kernel import Centres, derate_columns, gate_centres
 from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 from repro.units import Dimensionless, Picoseconds
 
@@ -43,6 +45,12 @@ class CdVariationSpec:
     sigma_correlated_nm: float = 2.0
     correlation_length_nm: float = 50_000.0
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.correlation_length_nm > 0:
+            raise ValueError(f"correlation_length_nm must be > 0: {self}")
+        if min(self.sigma_random_nm, self.sigma_correlated_nm) < 0:
+            raise ValueError(f"sigma_random_nm and sigma_correlated_nm must be >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -150,23 +158,23 @@ def derate_for_delta_l(cell: StandardCell, delta_l: float, model: AlphaPowerMode
     )
 
 
-def _per_element(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(v, *args)`` on every element ``v`` of ``x``, through Python floats."""
+    values = map(fn, x.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
 def _drawn(engine: StaEngine, model: AlphaPowerModel) -> np.ndarray:
     """Each gate's drawn length, p and n network widths, and p and n drawn
-    drive currents, as ``derate_for_delta_l`` computes them: (5, n_gates, 1)."""
-    per_cell: Dict[str, List[float]] = {}
-    for node in engine.nodes:
-        cell = node.cell
-        if cell.name not in per_cell:
-            length = cell.transistors[0].length
-            widths = [cell.network_strength(mos_type) * length for mos_type in ("p", "n")]
-            per_cell[cell.name] = [length, *widths,
-                                   *(model.drive_current(w, length) for w in widths)]
-    rows = [per_cell[node.cell.name] for node in engine.nodes]
-    return np.array(rows).reshape(-1, 5).T[:, :, None]
+    drive currents, as ``derate_for_delta_l`` computes them: (5, n_gates, 1).
+    They are computed once per distinct cell, on ``model`` as given."""
+    kernel = engine.sample_kernel()
+    rows = []
+    for cell in kernel.cells:
+        length = cell.transistors[0].length
+        widths = [cell.network_strength(mos_type) * length for mos_type in ("p", "n")]
+        rows.append([length, *widths, *(model.drive_current(w, length) for w in widths)])
+    return np.array(rows).reshape(-1, 5)[kernel.cell_of].T[:, :, None]
 
 
 def _delta_l_derates(drawn: np.ndarray, model: AlphaPowerModel, delta_l: np.ndarray,
@@ -176,17 +184,16 @@ def _delta_l_derates(drawn: np.ndarray, model: AlphaPowerModel, delta_l: np.ndar
     ``delta_l`` is ``(n_gates, S)`` in ``engine.nodes`` order; the result is
     the ``(rise, fall, cap)`` scales the kernel takes.  Each element equals
     ``compose_derates(base, derate_for_delta_l(...))``: the arithmetic is
-    vectorized with ``+ - * / max`` only, while ``math.exp`` and ``**`` run
+    vectorized with ``+ - * / max`` only, while ``math.exp`` and ``pow`` run
     per element, because numpy's ``exp`` and ``power`` round differently
     from libm on some inputs.
     """
     p = model.params
     length, width_p, width_n, drawn_p, drawn_n = drawn
     new_length = np.maximum(length + delta_l, p.l_min * 0.8)
-    vth = p.vth0 - p.vth_rolloff * _per_element(
-        math.exp, -(new_length - p.l_min) / p.rolloff_length)
+    vth = p.vth0 - p.vth_rolloff * _libm(math.exp, -(new_length - p.l_min) / p.rolloff_length)
     overdrive = np.maximum(p.vdd - vth, 0.1 * p.vdd)
-    drive = _per_element(lambda v: v ** p.alpha, overdrive)
+    drive = _libm(pow, overdrive, p.alpha)  # the libm call ``v ** alpha`` makes
     rise = drawn_p / (p.k_drive * (width_p / new_length) * drive)
     fall = drawn_n / (p.k_drive * (width_n / new_length) * drive)
     base_rise, base_fall, base_cap = base
@@ -209,43 +216,49 @@ def run_corners(
     return {corner.name: value for corner, value in zip(corners, wns.tolist())}
 
 
-def sample_instance_deltas(
-    netlist: Netlist,
-    placement: Optional[Placement],
-    spec: CdVariationSpec,
-    sample_index: int,
-) -> Dict[str, float]:
-    """Per-instance delta-L (nm) for one Monte-Carlo sample.
+def draw_delta_l(spec: CdVariationSpec, indices: Sequence[int], n_gates: int,
+                 centres: Optional[Centres]) -> np.ndarray:
+    """The ``(len(indices), n_gates)`` delta-L (nm) of Monte-Carlo samples
+    ``indices``, gates in ``netlist.gates`` order: a smooth correlated field
+    over the placement (two cosine harmonics with random phase, scaled by
+    ``_CORRELATED_WAVE_NORM`` to deliver ``sigma_correlated_nm``; one shared
+    offset when unplaced) plus i.i.d. noise per instance.
 
-    The correlated component is a smooth random field over placement
-    coordinates (two cosine harmonics with random phase — cheap, bounded,
-    and spatially smooth), normalized by ``_CORRELATED_WAVE_NORM`` so the
-    delivered per-gate variance is exactly ``sigma_correlated_nm**2``
-    (marginally over the phases); the random component is i.i.d. per
-    instance.
+    Sample i takes what ``uniform`` and ``gauss`` draw from
+    ``random.Random(spec.seed * 1_000_003 + i)``: two phases, the amplitude,
+    then one Gaussian per gate.  ``gauss``'s Box-Muller runs as arrays: each
+    pair of doubles gives a cosine and a sine normal, so gate 0 takes the
+    sine left over from the amplitude's pair.  ``math.log``, ``cos`` and
+    ``sin`` run per element (libm), the wave's once per distinct centre.
     """
-    rng = random.Random(spec.seed * 1_000_003 + sample_index)
-    phase_x = rng.uniform(0, 2 * math.pi)
-    phase_y = rng.uniform(0, 2 * math.pi)
-    amplitude = rng.gauss(0.0, spec.sigma_correlated_nm)
-    mean, sigma, gauss = spec.mean_nm, spec.sigma_random_nm, rng.gauss
-    deltas: Dict[str, float] = {}
-    if placement is not None and spec.sigma_correlated_nm > 0:
-        # Same floats as ``2 * math.pi * center.x / L`` on ``bbox.center``,
-        # without building a Point per gate.
-        two_pi, length = 2 * math.pi, spec.correlation_length_nm
-        weight = amplitude * _CORRELATED_WAVE_NORM
-        for gate_name in netlist.gates:
-            box = placement.gates[gate_name].bbox
-            wave = (math.cos(two_pi * ((box.x0 + box.x1) / 2) / length + phase_x)
-                    * math.cos(two_pi * ((box.y0 + box.y1) / 2) / length + phase_y))
-            deltas[gate_name] = mean + weight * wave + gauss(0.0, sigma)
-        return deltas
-    # Fully shared when no placement is given.
-    correlated = amplitude if spec.sigma_correlated_nm > 0 else 0.0
-    for gate_name in netlist.gates:
-        deltas[gate_name] = mean + correlated + gauss(0.0, sigma)
-    return deltas
+    count = 4 + 2 * (n_gates // 2)
+    streams = (random.Random(spec.seed * 1_000_003 + index) for index in indices)
+    doubles = np.array([list(map(random.Random.random, repeat(rng, count)))
+                        for rng in streams]).reshape(-1, count)
+    x2pi = doubles[:, 2::2] * (2 * math.pi)  # random's TWOPI
+    g2rad = np.sqrt(-2.0 * _libm(math.log, 1.0 - doubles[:, 3::2]))
+    normal = np.stack((_libm(math.cos, x2pi) * g2rad, _libm(math.sin, x2pi) * g2rad),
+                      axis=2).reshape(len(doubles), count - 2)
+    amplitude = 0.0 + normal[:, :1] * spec.sigma_correlated_nm
+    noise = 0.0 + normal[:, 1:n_gates + 1] * spec.sigma_random_nm
+    if centres is None or not spec.sigma_correlated_nm > 0:
+        correlated = amplitude if spec.sigma_correlated_nm > 0 else 0.0
+        return spec.mean_nm + correlated + noise
+    # ``uniform(0, 2 * math.pi)`` is ``0 + (2 * math.pi - 0) * random()``.
+    phases = np.hsplit(2 * math.pi * doubles[:, :2], 2)
+    length = spec.correlation_length_nm
+    wave_x, wave_y = (_libm(math.cos, 2 * math.pi * values / length + phase)[:, index]
+                      for (values, index), phase in zip(centres, phases))
+    return spec.mean_nm + amplitude * _CORRELATED_WAVE_NORM * (wave_x * wave_y) + noise
+
+
+def sample_instance_deltas(netlist: Netlist, placement: Optional[Placement],
+                           spec: CdVariationSpec, sample_index: int) -> Dict[str, float]:
+    """Per-instance delta-L (nm) for one Monte-Carlo sample: one row of
+    ``draw_delta_l``."""
+    row = draw_delta_l(spec, [sample_index], len(netlist.gates),
+                       gate_centres(netlist, placement))[0]
+    return dict(zip(netlist.gates, row.tolist()))
 
 
 def run_monte_carlo(
@@ -266,15 +279,13 @@ def run_monte_carlo(
     constraints = constraints or TimingConstraints()
     result = MonteCarloResult()
     kernel = engine.sample_kernel()
-    names = [node.name for node in engine.nodes]
     drawn = _drawn(engine, model)
     base = derate_columns(engine, base_derates or {})
     for start in range(0, samples, MC_BATCH):
-        draws = [sample_instance_deltas(engine.netlist, engine.placement, spec, index)
-                 for index in range(start, min(start + MC_BATCH, samples))]
-        delta_l = np.array([[deltas[name] for name in names] for deltas in draws]).T
+        delta_l = draw_delta_l(spec, range(start, min(start + MC_BATCH, samples)),
+                               len(kernel.gate_order), kernel.centres)
         wns, critical = kernel.run(constraints, *_delta_l_derates(
-            drawn, model, np.ascontiguousarray(delta_l), base))
+            drawn, model, delta_l.T[kernel.gate_order], base))
         result.wns_samples += wns.tolist()
         result.critical_delay_samples += critical.tolist()
     return result

@@ -5,9 +5,10 @@ instead of ``ZeroDivisionError``/bare ``ValueError`` from the arithmetic),
 the nearest-rank percentile definition (the old ``int`` truncation was
 biased one order statistic high), the sticky ``failed`` flag through
 derate composition (an earlier inline composition dropped
-``sampled.failed`` whenever base derates were present), and the
+``sampled.failed`` whenever base derates were present), the
 correlated-field normalization (the raw ``cos*cos`` wave delivered only
-half the requested correlated sigma).
+half the requested correlated sigma), the spec's validation, and the
+batched draw, sample by sample, against the per-gate formula it replaced.
 """
 
 import math
@@ -17,7 +18,7 @@ import statistics
 import pytest
 
 from repro.cells import build_library
-from repro.circuits import inverter_chain, structured_asic
+from repro.circuits import c17, inverter_chain, random_logic, structured_asic
 from repro.device import AlphaPowerModel
 from repro.pdk import make_tech_90nm
 from repro.place import place_rows
@@ -28,7 +29,13 @@ from repro.timing import (
     compose_derates,
     run_monte_carlo,
 )
-from repro.timing.mc import CdVariationSpec, MonteCarloResult, sample_instance_deltas
+from repro.timing.mc import (
+    MC_BATCH,
+    CdVariationSpec,
+    MonteCarloResult,
+    draw_delta_l,
+    sample_instance_deltas,
+)
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +246,88 @@ class TestSampleDeltasPinned:
         for index in range(4):
             assert list(sample_instance_deltas(netlist, placement, spec, index).items()) == list(
                 frozen_sample_instance_deltas(netlist, placement, spec, index).items())
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("correlation_length_nm", 0.0),
+        ("correlation_length_nm", -5_000.0),
+        ("correlation_length_nm", float("nan")),
+        ("sigma_random_nm", -0.5),
+        ("sigma_correlated_nm", -1.0),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        # A zero length used to raise ZeroDivisionError in the middle of a
+        # placed draw.
+        with pytest.raises(ValueError, match=field):
+            CdVariationSpec(**{field: value})
+
+    def test_zero_sigmas_are_valid(self):
+        spec = CdVariationSpec(sigma_random_nm=0.0, sigma_correlated_nm=0.0)
+        assert spec.sigma_random_nm == spec.sigma_correlated_nm == 0.0
+
+
+@pytest.fixture(scope="module")
+def library():
+    tech = make_tech_90nm()
+    lib = build_library(tech)
+    return lib, characterize_library(lib, AlphaPowerModel(tech.device))
+
+
+def assert_batch_matches_frozen(engine, spec, indices):
+    """``draw_delta_l`` on the engine's cached centres, as ``run_monte_carlo``
+    calls it, row by row against the per-gate formula; also in
+    ``engine.nodes`` order through the kernel's ``gate_order``."""
+    kernel = engine.sample_kernel()
+    batch = draw_delta_l(spec, indices, len(kernel.gate_order), kernel.centres)
+    assert batch.shape == (len(indices), len(engine.netlist.gates))
+    by_node = batch.T[kernel.gate_order]
+    for s, index in enumerate(indices):
+        frozen = frozen_sample_instance_deltas(engine.netlist, engine.placement, spec, index)
+        assert dict(zip(engine.netlist.gates, batch[s].tolist())) == frozen
+        assert by_node[:, s].tolist() == [frozen[node.name] for node in engine.nodes]
+
+
+class TestBatchedDraw:
+    DESIGNS = {
+        "c17": (lambda lib: c17(lib), True),               # 6 gates
+        "rand21": (lambda lib: random_logic(21, seed=3), True),
+        "chain7_unplaced": (lambda lib: inverter_chain(7), False),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(DESIGNS))
+    def engine(self, request, library):
+        lib, liberty = library
+        make, placed = self.DESIGNS[request.param]
+        netlist = make(lib)
+        return StaEngine(netlist, lib, liberty, place_rows(netlist, lib) if placed else None)
+
+    @pytest.mark.parametrize("spec", [
+        CdVariationSpec(seed=1),
+        CdVariationSpec(mean_nm=-1.5, sigma_random_nm=0.5, sigma_correlated_nm=3.0,
+                        correlation_length_nm=7_000.0, seed=4),
+        CdVariationSpec(sigma_correlated_nm=0.0, seed=9),
+        # seed * 1_000_003 + index > 2**32: a multi-word MT seed, as the
+        # benchmark's specs (~4e11) use
+        CdVariationSpec(seed=400_009),
+    ], ids=["default", "short_field", "uncorrelated", "wide_seed"])
+    @pytest.mark.parametrize("batch", [1, 7, MC_BATCH + 3])
+    def test_equals_frozen_formula(self, engine, spec, batch):
+        assert_batch_matches_frozen(engine, spec, range(5, 5 + batch))
+
+    def test_indices_need_not_be_contiguous(self, engine):
+        assert_batch_matches_frozen(engine, CdVariationSpec(seed=3), [9, 0, 4, 4])
+
+    def test_empty_batch(self, engine):
+        kernel = engine.sample_kernel()
+        empty = draw_delta_l(CdVariationSpec(), [], len(kernel.gate_order), kernel.centres)
+        assert empty.shape == (0, len(kernel.gate_order))
+
+
+@pytest.mark.slow
+def test_fabric1k_draw_equals_frozen_formula(library):
+    """64 samples of the 1k-gate fabric (500 Gaussian pairs per sample)."""
+    lib, liberty = library
+    netlist = structured_asic(1000, seed=1)
+    engine = StaEngine(netlist, lib, liberty, place_rows(netlist, lib))
+    assert_batch_matches_frozen(engine, CdVariationSpec(seed=100_004), range(64))

@@ -9,10 +9,13 @@ slews, predecessors and endpoints must equal a full ``StaEngine.run``.
 """
 
 import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cells import build_library
 from repro.circuits import Netlist, c17, inverter_chain, random_logic, structured_asic
@@ -29,7 +32,7 @@ from repro.timing import (
     run_monte_carlo,
 )
 from repro.timing import LibertyLibrary, mc
-from repro.timing.kernel import SampleKernel, _AxisBank, _bracket, derate_columns
+from repro.timing.kernel import SampleKernel, _AxisBank, _bracket, _merge, derate_columns
 from repro.timing.liberty import _bracket as scalar_bracket
 from repro.timing.mc import DEFAULT_CORNERS, MC_BATCH, CdVariationSpec, CornerSpec
 
@@ -191,7 +194,7 @@ def test_tables_on_different_axes_match_scalar(lib, model, design):
     netlist, _ = DESIGNS[design](lib)
     engine = StaEngine(netlist, lib, mixed_axis_liberty(lib, model), place_rows(netlist, lib))
     kernel = engine.sample_kernel()
-    assert kernel._slew_load_axes is not None
+    assert not np.array_equal(*kernel._pair)
     assert any(len(level.delay_axes.groups) > 1 for level in kernel._levels)
     result = run_monte_carlo(engine, model, samples=9, spec=SPEC, constraints=CONSTRAINTS,
                              base_derates=mixed_base(engine))
@@ -212,6 +215,40 @@ def test_bracket_matches_scalar_bracket():
     for row, axis in enumerate(ids):
         assert [(i0[row, s], i1[row, s], t[row, s]) for s in range(len(values))] == [
             scalar_bracket(axes[axis], value) for value in values]
+
+
+@st.composite
+def merges(draw):
+    """Outputs of 1-5 arcs over 1-3 samples.  Candidates and slews are small
+    integers, so ties on arrival and later winners with a smaller slew than
+    the slew merged so far are frequent."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    samples = draw(st.integers(1, 3))
+    value = st.integers(0, 3).map(float)
+    grid = st.lists(st.lists(value, min_size=samples, max_size=samples),
+                    min_size=sum(sizes), max_size=sum(sizes))
+    return sizes, np.array(draw(grid)), np.array(draw(grid)), draw(st.integers(0, 40))
+
+
+@given(merges())
+def test_segmented_merge_matches_the_scalar_merge(case):
+    """``_merge`` against ``StaEngine._propagate``'s loop: ``candidate >
+    current`` takes the arc's arrival and slew, anything else merges the
+    slew with ``max``."""
+    sizes, candidate, out_slew, first_row = case
+    starts = np.cumsum([0] + sizes[:-1])
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    row = np.arange(first_row, first_row + len(candidate))[:, None]
+    arrival, slew, winner = _merge(candidate, out_slew, row, starts, segment)
+    for k, (start, size) in enumerate(zip(starts, sizes)):
+        for s in range(candidate.shape[1]):
+            current, merged, won = -math.inf, None, None
+            for r in range(start, start + size):
+                if candidate[r, s] > current:
+                    current, merged, won = candidate[r, s], out_slew[r, s], first_row + r
+                else:
+                    merged = max(merged, out_slew[r, s])
+            assert (arrival[k, s], slew[k, s], winner[k, s]) == (current, merged, won)
 
 
 def test_kernel_is_built_lazily_once(lib, liberty):
