@@ -26,10 +26,9 @@ the scalar engine's IEEE operations in the scalar engine's order:
   order-dependent slew merge.
 
 Which ``(net, transition)`` nodes exist and which arcs feed them does not
-depend on the derates, so the graph is fixed when the kernel is built,
-with what a Monte-Carlo draw needs of the engine (``gate_order``,
-``cells``, ``centres``).  The scalar engine stays the oracle, the
-drawn-STA and hold path, and the what-if path for small cones.
+depend on the derates, so the graph is fixed when the kernel is built.
+The scalar engine stays the oracle, the drawn-STA and hold path, and the
+what-if path for small cones.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ import numpy as np
 from repro.timing.liberty import TRANSITIONS, TimingArc, TimingTable
 
 if TYPE_CHECKING:
-    from repro.circuits import Netlist
-    from repro.place.placer import Placement
     from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 
 Axis = Tuple[float, ...]
@@ -54,13 +51,11 @@ class _Axes(NamedTuple):
     """One table axis per row, laid out for a vectorized ``_bracket``."""
 
     groups: Tuple[Tuple[np.ndarray, Union[slice, np.ndarray]], ...]  # (axis, its rows)
-    # (rows, 1) columns, or scalars when every row is on one axis:
-    first: np.ndarray    # axis[0]
-    last: np.ndarray     # axis[-1]
-    top: np.ndarray      # len(axis) - 1
-    start: np.ndarray    # where axis[0] sits in ``guarded``
+    first: np.ndarray    # (rows, 1) axis[0]
+    last: np.ndarray     # (rows, 1) axis[-1]
+    top: np.ndarray      # (rows, 1) len(axis) - 1
+    start: np.ndarray    # (rows, 1) where axis[0] sits in ``guarded``
     guarded: np.ndarray  # every axis flat, with a finite guard on each side
-    previous: np.ndarray  # ``guarded`` shifted by one: previous[k] = guarded[k - 1]
 
 
 class _AxisBank:
@@ -79,7 +74,6 @@ class _AxisBank:
             guarded[row, 0] = axis[0] - 1.0
             guarded[row, 1:len(axis) + 1] = axis
         self.guarded = guarded.ravel()
-        self.previous = np.concatenate(([0.0], self.guarded[:-1]))
 
     def rows(self, ids: np.ndarray) -> _Axes:
         """The axes ``ids`` name, one per row."""
@@ -87,10 +81,9 @@ class _AxisBank:
         groups: Tuple[Tuple[np.ndarray, Union[slice, np.ndarray]], ...] = (
             ((self.axes[distinct[0]], slice(None)),) if len(distinct) == 1
             else tuple((self.axes[k], np.flatnonzero(ids == k)) for k in distinct))
-        # one axis: scalars, which broadcast faster than columns
-        column = distinct[0] if len(distinct) == 1 else ids[:, None]
+        column = ids[:, None]
         return _Axes(groups, self.first[column], self.last[column], self.top[column],
-                     column * self.width + 1, self.guarded, self.previous)
+                     column * self.width + 1, self.guarded)
 
 
 def _bracket(x: np.ndarray, axes: _Axes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,16 +91,14 @@ def _bracket(x: np.ndarray, axes: _Axes) -> Tuple[np.ndarray, np.ndarray, np.nda
     inside = x < axes.last
     inner = (x > axes.first) & inside
     edge = np.where(inside, 0, axes.top)  # outside ``inner``, ``x < last`` means below
-    if len(axes.groups) == 1:
-        hi = np.searchsorted(axes.groups[0][0], x, side="right")  # bisect_right
-    else:
-        hi = np.empty(x.shape, dtype=np.int64)
-        for axis, rows in axes.groups:
-            hi[rows] = np.searchsorted(axis, x[rows], side="right")
-    at = axes.start + hi
-    a_lo = axes.previous.take(at)
-    t = np.where(inner, (x - a_lo) / (axes.guarded.take(at) - a_lo), 0.0)
-    return np.where(inner, hi - 1, edge), np.where(inner, hi, edge), t
+    hi = np.empty(x.shape, dtype=np.int64)
+    for axis, rows in axes.groups:
+        hi[rows] = np.searchsorted(axis, x[rows], side="right")  # bisect_right
+    lo = hi - 1
+    at = axes.start + lo
+    a_lo = axes.guarded.take(at)
+    t = np.where(inner, (x - a_lo) / (axes.guarded.take(at + 1) - a_lo), 0.0)
+    return np.where(inner, lo, edge), np.where(inner, hi, edge), t
 
 
 def _lookup(values: np.ndarray, at: np.ndarray, weight: np.ndarray,
@@ -161,21 +152,6 @@ class _Level(NamedTuple):
     outputs: np.ndarray        # the level's output ids, in row order
     starts: np.ndarray         # each output's first level-local row
     segment: np.ndarray        # each row's index into ``outputs``
-
-
-#: per axis (x, y): the distinct centre coordinates (nm, ascending) and
-#: each gate's index into them, in ``netlist.gates`` order
-Centres = Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
-
-def gate_centres(netlist: Netlist, placement: Optional[Placement]) -> Optional[Centres]:
-    """Each gate's bounding-box centre, ``(x0 + x1) / 2`` as ``bbox.center``
-    computes it, interned per axis; None when unplaced."""
-    if placement is None:
-        return None
-    boxes = [placement.gates[name].bbox for name in netlist.gates]
-    return (np.unique([(box.x0 + box.x1) / 2 for box in boxes], return_inverse=True),
-            np.unique([(box.y0 + box.y1) / 2 for box in boxes], return_inverse=True))
 
 
 class KernelState(NamedTuple):
@@ -328,15 +304,6 @@ class SampleKernel:
                  for t in TRANSITIONS if (reg.d_net, t) in ids]
         self._ends = np.array([end for end, _ in ends], dtype=np.int64)
         self._setup = np.array([setup for _, setup in ends])[:, None]
-
-        # What a Monte-Carlo draw needs of the engine: per gate, in
-        # ``engine.nodes`` order, its index in ``netlist.gates`` and in ``cells``.
-        netlist_index = {name: k for k, name in enumerate(engine.netlist.gates)}
-        self.gate_order = np.array([netlist_index[node.name] for node in nodes], dtype=np.int64)
-        by_name = {node.cell.name: node.cell for node in nodes}
-        names, self.cell_of = np.unique([node.cell.name for node in nodes], return_inverse=True)
-        self.cells = [by_name[name] for name in names.tolist()]
-        self.centres = gate_centres(engine.netlist, engine.placement)
 
     def run(self, constraints: TimingConstraints, rise: np.ndarray,
             fall: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,20 +10,23 @@ the corners are.
 Both run their samples (a corner is a sample with the same delta-L on every
 gate) through the engine's batched kernel (``repro.timing.kernel``), up to
 ``MC_BATCH`` at a time.  A batch is arrays from draw to WNS: ``draw_delta_l``
-draws every sample's CD field at once, the derates are built as arrays, and
-one level-by-level pass times every sample.  Each sample's WNS equals
-``StaEngine.run`` on that sample's derates under ``==``.  Each sample keeps
-its own ``random.Random`` stream, keyed by the spec seed and the sample
-index, so the deltas do not depend on the batching.
+draws every sample's CD field at once, ``derate_for_delta_l`` derates every
+gate of one cell in one array call, and one level-by-level pass times every
+sample.  What the draw and the derates need of an engine (its gates'
+netlist order, cells and centres) is built once per engine.  Each sample's
+WNS equals ``StaEngine.run`` on that sample's derates under ``==``.  Each
+sample keeps its own ``random.Random`` stream, keyed by the spec seed and
+the sample index, so the deltas do not depend on the batching.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from repro.cells import StandardCell
 from repro.circuits import Netlist
 from repro.device import AlphaPowerModel
 from repro.place.placer import Placement
-from repro.timing.kernel import Centres, derate_columns, gate_centres
+from repro.timing.kernel import derate_columns
 from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 from repro.units import Dimensionless, Picoseconds
 
@@ -140,22 +143,30 @@ def compose_derates(prior: InstanceDerate, sampled: InstanceDerate) -> InstanceD
     )
 
 
-def derate_for_delta_l(cell: StandardCell, delta_l: float, model: AlphaPowerModel) -> InstanceDerate:
-    """Derate for a uniform gate-length shift of one instance."""
+def derate_for_delta_l(cell: StandardCell, delta_l: Union[float, np.ndarray],
+                       model: AlphaPowerModel) -> InstanceDerate:
+    """Derate for a uniform gate-length shift of one instance.
+
+    An array ``delta_l`` (instances of ``cell`` by samples) gives arrays of
+    scales, each element equal to the float call's: ``+ - * / max`` run as
+    arrays, while ``math.exp`` and ``pow`` run per element, because numpy's
+    ``exp`` and ``power`` round differently from libm on some inputs."""
+    p = model.params
     length = cell.transistors[0].length
-    new_length = max(length + delta_l, model.params.l_min * 0.8)
-    scales = {}
-    for mos_type in ("p", "n"):
-        wl = cell.network_strength(mos_type)
-        width = wl * length
-        scales[mos_type] = (
-            model.drive_current(width, length) / model.drive_current(width, new_length)
-        )
-    return InstanceDerate(
-        delay_rise_scale=scales["p"],
-        delay_fall_scale=scales["n"],
-        cap_scale=new_length / length,
-    )
+    widths = [cell.network_strength(mos_type) * length for mos_type in ("p", "n")]
+    if isinstance(delta_l, np.ndarray):
+        new_length = np.maximum(length + delta_l, p.l_min * 0.8)
+        # ``model.drive_current(width, new_length)``, element by element
+        vth = p.vth0 - p.vth_rolloff * _libm(math.exp, -(new_length - p.l_min) / p.rolloff_length)
+        drive = _libm(pow, np.maximum(p.vdd - vth, 0.1 * p.vdd), p.alpha)  # ``v ** alpha``
+        printed = [p.k_drive * (width / new_length) * drive for width in widths]
+    else:
+        new_length = max(length + delta_l, p.l_min * 0.8)
+        printed = [model.drive_current(width, new_length) for width in widths]
+    rise, fall = (model.drive_current(width, length) / current
+                  for width, current in zip(widths, printed))
+    return InstanceDerate(delay_rise_scale=rise, delay_fall_scale=fall,
+                          cap_scale=new_length / length)
 
 
 def _libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
@@ -164,40 +175,64 @@ def _libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
-def _drawn(engine: StaEngine, model: AlphaPowerModel) -> np.ndarray:
-    """Each gate's drawn length, p and n network widths, and p and n drawn
-    drive currents, as ``derate_for_delta_l`` computes them: (5, n_gates, 1).
-    They are computed once per distinct cell, on ``model`` as given."""
-    kernel = engine.sample_kernel()
-    rows = []
-    for cell in kernel.cells:
-        length = cell.transistors[0].length
-        widths = [cell.network_strength(mos_type) * length for mos_type in ("p", "n")]
-        rows.append([length, *widths, *(model.drive_current(w, length) for w in widths)])
-    return np.array(rows).reshape(-1, 5)[kernel.cell_of].T[:, :, None]
+class Centres(NamedTuple):
+    """The gates' centres, interned: each distinct coordinate once."""
+
+    values: np.ndarray  # the distinct x (nm, ascending), then the distinct y
+    index: np.ndarray   # (2, n_gates) each gate's x and y in ``values``, ``netlist.gates`` order
+    n_x: int            # how many of ``values`` are x
 
 
-def _delta_l_derates(drawn: np.ndarray, model: AlphaPowerModel, delta_l: np.ndarray,
+def gate_centres(netlist: Netlist, placement: Optional[Placement]) -> Optional[Centres]:
+    """Each gate's bounding-box centre, ``(x0 + x1) / 2`` as ``bbox.center``
+    computes it; None when unplaced."""
+    if placement is None:
+        return None
+    boxes = [placement.gates[name].bbox for name in netlist.gates]
+    xs, x_index = np.unique([(box.x0 + box.x1) / 2 for box in boxes], return_inverse=True)
+    ys, y_index = np.unique([(box.y0 + box.y1) / 2 for box in boxes], return_inverse=True)
+    return Centres(np.concatenate((xs, ys)), np.stack((x_index, y_index + len(xs))), len(xs))
+
+
+class _EngineGates(NamedTuple):
+    """What a Monte-Carlo batch needs of an engine's gates."""
+
+    order: np.ndarray  # per ``engine.nodes`` entry, its index in ``netlist.gates``
+    cells: List[Tuple[StandardCell, np.ndarray]]  # each distinct cell, its node rows
+    centres: Optional[Centres]
+
+
+#: built once per engine, like its kernel
+_ENGINE_GATES: "weakref.WeakKeyDictionary[StaEngine, _EngineGates]" = weakref.WeakKeyDictionary()
+
+
+def _engine_gates(engine: StaEngine) -> _EngineGates:
+    gates = _ENGINE_GATES.get(engine)
+    if gates is None:
+        index = {name: k for k, name in enumerate(engine.netlist.gates)}
+        rows: Dict[str, List[int]] = {}
+        for g, node in enumerate(engine.nodes):
+            rows.setdefault(node.cell.name, []).append(g)
+        gates = _ENGINE_GATES[engine] = _EngineGates(
+            np.array([index[node.name] for node in engine.nodes], dtype=np.int64),
+            [(engine.nodes[at[0]].cell, np.array(at)) for _, at in sorted(rows.items())],
+            gate_centres(engine.netlist, engine.placement))
+    return gates
+
+
+def _delta_l_derates(engine: StaEngine, model: AlphaPowerModel, delta_l: np.ndarray,
                      base: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
-    """``derate_for_delta_l`` composed onto ``base``, for every gate and sample.
-
-    ``delta_l`` is ``(n_gates, S)`` in ``engine.nodes`` order; the result is
-    the ``(rise, fall, cap)`` scales the kernel takes.  Each element equals
-    ``compose_derates(base, derate_for_delta_l(...))``: the arithmetic is
-    vectorized with ``+ - * / max`` only, while ``math.exp`` and ``pow`` run
-    per element, because numpy's ``exp`` and ``power`` round differently
-    from libm on some inputs.
-    """
-    p = model.params
-    length, width_p, width_n, drawn_p, drawn_n = drawn
-    new_length = np.maximum(length + delta_l, p.l_min * 0.8)
-    vth = p.vth0 - p.vth_rolloff * _libm(math.exp, -(new_length - p.l_min) / p.rolloff_length)
-    overdrive = np.maximum(p.vdd - vth, 0.1 * p.vdd)
-    drive = _libm(pow, overdrive, p.alpha)  # the libm call ``v ** alpha`` makes
-    rise = drawn_p / (p.k_drive * (width_p / new_length) * drive)
-    fall = drawn_n / (p.k_drive * (width_n / new_length) * drive)
+    """``compose_derates(base, derate_for_delta_l(...))`` for every gate and
+    sample, one ``derate_for_delta_l`` call per distinct cell.  ``delta_l``
+    is ``(n_gates, S)`` in ``engine.nodes`` order; the result is the
+    ``(rise, fall, cap)`` scales the kernel takes."""
+    rise, fall, cap = np.empty((3, *delta_l.shape))
+    for cell, rows in _engine_gates(engine).cells:
+        derate = derate_for_delta_l(cell, delta_l[rows], model)
+        rise[rows], fall[rows], cap[rows] = (
+            derate.delay_rise_scale, derate.delay_fall_scale, derate.cap_scale)
     base_rise, base_fall, base_cap = base
-    return base_rise * rise, base_fall * fall, base_cap * (new_length / length)
+    return base_rise * rise, base_fall * fall, base_cap * cap
 
 
 def run_corners(
@@ -212,7 +247,7 @@ def run_corners(
     """
     delta_l = np.repeat([[corner.delta_l_nm for corner in corners]], len(engine.nodes), axis=0)
     wns, _ = engine.sample_kernel().run(constraints or TimingConstraints(), *_delta_l_derates(
-        _drawn(engine, model), model, delta_l, derate_columns(engine, {})))
+        engine, model, delta_l, derate_columns(engine, {})))
     return {corner.name: value for corner, value in zip(corners, wns.tolist())}
 
 
@@ -245,10 +280,10 @@ def draw_delta_l(spec: CdVariationSpec, indices: Sequence[int], n_gates: int,
         correlated = amplitude if spec.sigma_correlated_nm > 0 else 0.0
         return spec.mean_nm + correlated + noise
     # ``uniform(0, 2 * math.pi)`` is ``0 + (2 * math.pi - 0) * random()``.
-    phases = np.hsplit(2 * math.pi * doubles[:, :2], 2)
-    length = spec.correlation_length_nm
-    wave_x, wave_y = (_libm(math.cos, 2 * math.pi * values / length + phase)[:, index]
-                      for (values, index), phase in zip(centres, phases))
+    phase = np.repeat(2 * math.pi * doubles[:, :2],
+                      (centres.n_x, len(centres.values) - centres.n_x), axis=1)
+    wave = _libm(math.cos, 2 * math.pi * centres.values / spec.correlation_length_nm + phase)
+    wave_x, wave_y = wave[:, centres.index[0]], wave[:, centres.index[1]]
     return spec.mean_nm + amplitude * _CORRELATED_WAVE_NORM * (wave_x * wave_y) + noise
 
 
@@ -279,13 +314,13 @@ def run_monte_carlo(
     constraints = constraints or TimingConstraints()
     result = MonteCarloResult()
     kernel = engine.sample_kernel()
-    drawn = _drawn(engine, model)
+    gates = _engine_gates(engine)
     base = derate_columns(engine, base_derates or {})
     for start in range(0, samples, MC_BATCH):
         delta_l = draw_delta_l(spec, range(start, min(start + MC_BATCH, samples)),
-                               len(kernel.gate_order), kernel.centres)
+                               len(gates.order), gates.centres)
         wns, critical = kernel.run(constraints, *_delta_l_derates(
-            drawn, model, delta_l.T[kernel.gate_order], base))
+            engine, model, delta_l.T[gates.order], base))
         result.wns_samples += wns.tolist()
         result.critical_delay_samples += critical.tolist()
     return result

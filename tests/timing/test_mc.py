@@ -15,6 +15,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.cells import build_library
@@ -29,6 +30,7 @@ from repro.timing import (
     compose_derates,
     run_monte_carlo,
 )
+from repro.timing import mc
 from repro.timing.mc import (
     MC_BATCH,
     CdVariationSpec,
@@ -277,11 +279,11 @@ def library():
 def assert_batch_matches_frozen(engine, spec, indices):
     """``draw_delta_l`` on the engine's cached centres, as ``run_monte_carlo``
     calls it, row by row against the per-gate formula; also in
-    ``engine.nodes`` order through the kernel's ``gate_order``."""
-    kernel = engine.sample_kernel()
-    batch = draw_delta_l(spec, indices, len(kernel.gate_order), kernel.centres)
+    ``engine.nodes`` order through the cached gate order."""
+    gates = mc._engine_gates(engine)
+    batch = draw_delta_l(spec, indices, len(gates.order), gates.centres)
     assert batch.shape == (len(indices), len(engine.netlist.gates))
-    by_node = batch.T[kernel.gate_order]
+    by_node = batch.T[gates.order]
     for s, index in enumerate(indices):
         frozen = frozen_sample_instance_deltas(engine.netlist, engine.placement, spec, index)
         assert dict(zip(engine.netlist.gates, batch[s].tolist())) == frozen
@@ -319,9 +321,28 @@ class TestBatchedDraw:
         assert_batch_matches_frozen(engine, CdVariationSpec(seed=3), [9, 0, 4, 4])
 
     def test_empty_batch(self, engine):
-        kernel = engine.sample_kernel()
-        empty = draw_delta_l(CdVariationSpec(), [], len(kernel.gate_order), kernel.centres)
-        assert empty.shape == (0, len(kernel.gate_order))
+        gates = mc._engine_gates(engine)
+        empty = draw_delta_l(CdVariationSpec(), [], len(gates.order), gates.centres)
+        assert empty.shape == (0, len(gates.order))
+
+
+@pytest.mark.parametrize("cell_name", ["INV_X1", "NAND2_X1", "AOI21_X1"])
+def test_array_derate_equals_the_float_call(library, cell_name):
+    """Element by element, the length clamp included: an array ``delta_l``
+    gives what the float call gives for each of its elements."""
+    lib, _ = library
+    model = AlphaPowerModel(make_tech_90nm().device)
+    cell = lib[cell_name]
+    rng = random.Random(11)
+    delta_l = [[rng.gauss(-2.0, 6.0) for _ in range(5)] for _ in range(40)]
+    delta_l[0][:2] = [-60.0, 0.0]  # below the clamp, and no shift
+    derate = mc.derate_for_delta_l(cell, np.array(delta_l), model)
+    for r, row in enumerate(delta_l):
+        for s, value in enumerate(row):
+            expected = mc.derate_for_delta_l(cell, value, model)
+            assert (derate.delay_rise_scale[r, s], derate.delay_fall_scale[r, s],
+                    derate.cap_scale[r, s]) == (expected.delay_rise_scale,
+                                                expected.delay_fall_scale, expected.cap_scale)
 
 
 @pytest.mark.slow

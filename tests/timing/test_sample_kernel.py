@@ -161,8 +161,7 @@ def test_derate_arrays_match_derate_for_delta_l(lib, liberty, model):
                                        CdVariationSpec(seed=4, mean_nm=-3.0), i)
              for i in range(8)]
     delta_l = np.array([[d[node.name] for node in engine.nodes] for d in draws]).T.copy()
-    rise, fall, cap = mc._delta_l_derates(mc._drawn(engine, model), model, delta_l,
-                                          derate_columns(engine, base))
+    rise, fall, cap = mc._delta_l_derates(engine, model, delta_l, derate_columns(engine, base))
     for s, deltas in enumerate(draws):
         expected = scalar_derates(engine, model, deltas, base)
         got = [(rise[g, s], fall[g, s], cap[g, s]) for g in range(len(engine.nodes))]
