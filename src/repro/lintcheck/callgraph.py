@@ -23,7 +23,9 @@ and the dataflow rules treat the call as opaque.
 whole-program rule uses, and :func:`walk_calls` the one breadth-first
 reachability walk (cache safety follows role-bound parameters with it,
 the concurrency model thread entry points); :class:`BodyWalker` is the
-statement walk the units and taint evaluators share.
+one statement walk every per-function evaluator subclasses (units,
+taint, dtype, axis lengths, ndarray names), and :func:`index_imports`
+the one import resolver (:func:`dotted_name` reads its table).
 """
 
 from __future__ import annotations
@@ -189,6 +191,38 @@ def _is_property_def(node: FunctionNode) -> bool:
     return False
 
 
+def index_imports(info: ModuleInfo) -> None:
+    """Fill ``info.imports``: each local binding an ``import`` or
+    ``from ... import`` makes, mapped to its dotted target.  Relative
+    imports resolve against the module's package."""
+    package_parts = info.name.split(".")
+    if os.path.basename(info.path) != "__init__.py":
+        package_parts.pop()  # a package's relative imports start at itself
+    for node in ast.walk(info.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    info.imports[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    info.imports[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package_parts[: len(package_parts) - (node.level - 1)]
+                if node.level > len(package_parts) + 1:
+                    continue
+            else:
+                base = []
+            prefix = list(base)
+            if node.module:
+                prefix.extend(node.module.split("."))
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name
+                info.imports[bound] = ".".join(prefix + [alias.name])
+
+
 class Project:
     """Every module reachable from the linted files, cross-indexed.
 
@@ -260,7 +294,7 @@ class Project:
             return
         info = ModuleInfo(name=modname, path=display, tree=tree)
         self.modules[modname] = info
-        self._index_imports(info)
+        index_imports(info)
         for stmt in tree.body:
             if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant):
                 for target in stmt.targets:
@@ -300,34 +334,6 @@ class Project:
         info.classes[node.name] = qualname
         self.classes[qualname] = cls_info
         self.classes_by_name.setdefault(node.name, []).append(qualname)
-
-    def _index_imports(self, info: ModuleInfo) -> None:
-        package_parts = info.name.split(".")
-        if os.path.basename(info.path) != "__init__.py":
-            package_parts.pop()  # a package's relative imports start at itself
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        info.imports[alias.asname] = alias.name
-                    else:
-                        top = alias.name.split(".")[0]
-                        info.imports[top] = top
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    base = package_parts[: len(package_parts) - (node.level - 1)]
-                    if node.level > len(package_parts) + 1:
-                        continue
-                else:
-                    base = []
-                prefix = list(base)
-                if node.module:
-                    prefix.extend(node.module.split("."))
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    info.imports[bound] = ".".join(prefix + [alias.name])
 
     # -- queries ------------------------------------------------------------
 
@@ -606,12 +612,15 @@ def walk_skipping_functions(nodes: Sequence[ast.AST]) -> Iterator[ast.AST]:
 class BodyWalker(Generic[V]):
     """One forward pass over a function body, generic in the value domain.
 
-    The statement walk the units and taint evaluators share: assignments
-    bind, both arms of every branch and loop run against one environment
-    (an over-approximation), and nested defs/classes are skipped (they get
-    their own summaries).  Subclasses supply :meth:`eval`, :meth:`_bind`
-    and the hooks for annotated/augmented assignment, ``return``, and the
-    value a ``for`` loop or comprehension iterates.
+    The one statement walk of the lint engine, shared by every
+    per-function evaluator (units, taint, dtype, axis lengths and ndarray
+    names): assignments bind, a ``for`` target and a ``with ... as``
+    target are rebound, both arms of every branch and loop run against
+    one environment (an over-approximation), and nested defs/classes are
+    skipped (they get their own passes).  Subclasses supply :meth:`eval`,
+    :meth:`_bind` and, where the default does not fit, the hooks for
+    annotated/augmented assignment, ``return``, and the value a ``for``
+    loop or comprehension iterates.
     """
 
     def eval(self, expr: ast.expr) -> V:
@@ -621,13 +630,14 @@ class BodyWalker(Generic[V]):
         raise NotImplementedError
 
     def _ann_assign(self, stmt: ast.AnnAssign) -> None:
-        raise NotImplementedError
+        if stmt.value is not None:
+            self._bind(stmt.target, self.eval(stmt.value), stmt.value)
 
     def _aug_assign(self, stmt: ast.AugAssign) -> None:
-        raise NotImplementedError
+        self.eval(stmt.value)
 
     def _return(self, value: V) -> None:
-        raise NotImplementedError
+        pass
 
     def _iterate(self, iterable: ast.expr) -> V:
         """Value bound to the loop target: by default the iterable's own

@@ -15,21 +15,29 @@ Three per-module rules that watch how ndarrays are created and combined:
 * ``python-loop-over-ndarray`` — a python-level ``for`` over an ndarray
   (directly, via ``range(len(arr))``, or via ``zip``) in the modules
   where per-gate scaling matters (``timing/mc.py``, ``metrology/``,
-  ``variation/``).  Interpreter dispatch per element is what ROADMAP
-  item 4 (vectorized MC) exists to remove; new code should not add more.
+  ``variation/``).  Per-element interpreter dispatch is what the
+  array-valued Monte-Carlo draw and timing kernel removed; new code
+  should not bring it back.
 
 The dtype lattice is tiny: ``f32``, ``f64``, ``c`` (complex), unknown.
 Unknown never reports — only a positively-known f32 meeting a
 positively-known f64 (or complex hitting an ordering) fires, so plain
 untyped python floats stay silent.
+
+All three walk a body with the shared
+:class:`~repro.lintcheck.callgraph.BodyWalker`, so a ``for`` target is
+rebound to unknown: after ``for x in range(n)``, ``x`` is no longer the
+float32 array it may have named before.  A ``with ... as`` target takes
+the context expression's value, which is unknown too: no numpy
+constructor is a context manager.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Union
 
-from repro.lintcheck.callgraph import call_simple_name
+from repro.lintcheck.callgraph import BodyWalker, call_simple_name
 from repro.lintcheck.core import Finding, LintRule, ModuleSource, register
 
 F32 = "f32"
@@ -85,7 +93,10 @@ def _dtype_from_expr(node: ast.expr) -> Dtype:
     return None
 
 
-def _functions(tree: ast.Module) -> Iterator[ast.AST]:
+Scope = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def _functions(tree: ast.Module) -> Iterator[Scope]:
     """Every function body plus the module top level, innermost-last."""
     yield tree
     for node in ast.walk(tree):
@@ -93,7 +104,7 @@ def _functions(tree: ast.Module) -> Iterator[ast.AST]:
             yield node
 
 
-class _DtypeTracker:
+class _DtypeTracker(BodyWalker[Dtype]):
     """One forward pass over a function body, tracking ndarray dtypes."""
 
     def __init__(self, rule: LintRule, module: ModuleSource) -> None:
@@ -102,56 +113,29 @@ class _DtypeTracker:
         self.env: Dict[str, Dtype] = {}
         self.findings: List[Finding] = []
 
-    def run(self, scope: ast.AST) -> List[Finding]:
-        body = scope.body if hasattr(scope, "body") else []
-        for stmt in body:
-            self._stmt(stmt)
-        return self.findings
+    # -- statement hooks ----------------------------------------------------
 
-    # -- statements ---------------------------------------------------------
+    def _aug_assign(self, stmt: ast.AugAssign) -> None:
+        value = self.eval(stmt.value)
+        if isinstance(stmt.target, ast.Name):
+            current = self.env.get(stmt.target.id)
+            self.env[stmt.target.id] = self._combine(stmt, current, value)
 
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested scopes are visited separately
-        if isinstance(stmt, ast.Assign):
-            dtype = self._eval(stmt.value)
-            for target in stmt.targets:
-                self._bind(target, dtype)
-        elif isinstance(stmt, ast.AnnAssign):
-            dtype = self._eval(stmt.value) if stmt.value is not None else None
-            self._bind(stmt.target, dtype)
-        elif isinstance(stmt, ast.AugAssign):
-            value = self._eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                current = self.env.get(stmt.target.id)
-                self.env[stmt.target.id] = self._combine(stmt, current, value)
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            self._eval(stmt.value)
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value)
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child)
-                elif isinstance(child, ast.stmt):
-                    self._stmt(child)
-                elif isinstance(child, (ast.excepthandler, ast.withitem)):
-                    for sub in ast.iter_child_nodes(child):
-                        if isinstance(sub, ast.stmt):
-                            self._stmt(sub)
-                        elif isinstance(sub, ast.expr):
-                            self._eval(sub)
+    def _iterate(self, iterable: ast.expr) -> Dtype:
+        self.eval(iterable)
+        return None  # an element of an array is not the array
 
-    def _bind(self, target: ast.expr, dtype: Dtype) -> None:
+    def _bind(self, target: ast.expr, dtype: Dtype,
+              source: Optional[ast.expr]) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = dtype
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._bind(element, dtype)
+                self._bind(element, dtype, None)
 
     # -- expressions --------------------------------------------------------
 
-    def _eval(self, expr: ast.expr) -> Dtype:
+    def eval(self, expr: ast.expr) -> Dtype:
         if isinstance(expr, ast.Constant):
             if isinstance(expr.value, complex):
                 return CPLX
@@ -159,7 +143,7 @@ class _DtypeTracker:
         if isinstance(expr, ast.Name):
             return self.env.get(expr.id)
         if isinstance(expr, ast.Attribute):
-            base = self._eval(expr.value)
+            base = self.eval(expr.value)
             if expr.attr in ("real", "imag"):
                 return F64 if base == CPLX else base
             if expr.attr == "T":
@@ -168,16 +152,16 @@ class _DtypeTracker:
         if isinstance(expr, ast.Call):
             return self._eval_call(expr)
         if isinstance(expr, ast.BinOp):
-            left = self._eval(expr.left)
-            right = self._eval(expr.right)
+            left = self.eval(expr.left)
+            right = self.eval(expr.right)
             if isinstance(expr.op, ast.Pow) and right is None:
                 return left  # x ** 2 keeps x's dtype
             return self._combine(expr, left, right)
         if isinstance(expr, ast.UnaryOp):
-            return self._eval(expr.operand)
+            return self.eval(expr.operand)
         if isinstance(expr, ast.Compare):
-            dtypes = [self._eval(expr.left)]
-            dtypes.extend(self._eval(cmp) for cmp in expr.comparators)
+            dtypes = [self.eval(expr.left)]
+            dtypes.extend(self.eval(cmp) for cmp in expr.comparators)
             simple_ops = (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.Eq, ast.NotEq)
             ordered = any(not isinstance(op, simple_ops) for op in expr.ops)
             if ordered and CPLX in dtypes:
@@ -187,34 +171,34 @@ class _DtypeTracker:
                              "is meant")
             return None
         if isinstance(expr, ast.Subscript):
-            self._eval(expr.slice)
-            return self._eval(expr.value)
+            self.eval(expr.slice)
+            return self.eval(expr.value)
         if isinstance(expr, ast.IfExp):
-            self._eval(expr.test)
-            left = self._eval(expr.body)
-            right = self._eval(expr.orelse)
+            self.eval(expr.test)
+            left = self.eval(expr.body)
+            right = self.eval(expr.orelse)
             return left if left == right else None
         if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            dtypes = {self._eval(element) for element in expr.elts}
+            dtypes = {self.eval(element) for element in expr.elts}
             return dtypes.pop() if len(dtypes) == 1 else None
         if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             for gen in expr.generators:
-                self._eval(gen.iter)
+                self.eval(gen.iter)
             return None
         if isinstance(expr, ast.NamedExpr):
-            dtype = self._eval(expr.value)
-            self._bind(expr.target, dtype)
+            dtype = self.eval(expr.value)
+            self._bind(expr.target, dtype, expr.value)
             return dtype
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
-                self._eval(child)
+                self.eval(child)
         return None
 
     def _eval_call(self, call: ast.Call) -> Dtype:
-        arg_dtypes = [self._eval(arg) for arg in call.args]
+        arg_dtypes = [self.eval(arg) for arg in call.args]
         explicit: Dtype = None
         for keyword in call.keywords:
-            value_dtype = self._eval(keyword.value)
+            value_dtype = self.eval(keyword.value)
             if keyword.arg == "dtype":
                 explicit = _dtype_from_expr(keyword.value)
             elif keyword.arg is None and value_dtype is not None:
@@ -281,7 +265,8 @@ class DtypeDriftRule(LintRule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for scope in _functions(module.tree):
             tracker = _DtypeTracker(self, module)
-            yield from tracker.run(scope)
+            tracker.exec_block(scope.body)
+            yield from tracker.findings
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +294,7 @@ def _axis_token(call: ast.Call) -> Optional[str]:
     return None
 
 
-class _AxisTracker:
+class _AxisTracker(BodyWalker[Optional[str]]):
     """Track 1-D arrays with a known symbolic length inside one scope."""
 
     def __init__(self, rule: LintRule, module: ModuleSource) -> None:
@@ -318,58 +303,36 @@ class _AxisTracker:
         self.env: Dict[str, str] = {}
         self.findings: List[Finding] = []
 
-    def run(self, scope: ast.AST) -> List[Finding]:
-        for stmt in getattr(scope, "body", []):
-            self._stmt(stmt)
-        return self.findings
+    def _iterate(self, iterable: ast.expr) -> Optional[str]:
+        self.eval(iterable)
+        return None  # an element of a 1-D array has no axis
 
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        if isinstance(stmt, ast.Assign):
-            token = self._eval(stmt.value)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    if token is not None:
-                        self.env[target.id] = token
-                    else:
-                        self.env.pop(target.id, None)
-                elif isinstance(target, (ast.Tuple, ast.List)):
-                    # meshgrid unpacking (2-D results) clears the axis tags
-                    for element in target.elts:
-                        if isinstance(element, ast.Name):
-                            self.env.pop(element.id, None)
-        else:
-            self._children(stmt)
-
-    def _children(self, node: ast.AST) -> None:
-        """Evaluate every child expression of ``node`` (a ``for`` target
-        and its iterable, an augmented assignment's target and value, ...)
-        and track its child statements, through ``with`` items, ``except``
-        handlers and ``match`` cases; _eval walks each expression's own
-        subtree."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                self._eval(child)
-            elif isinstance(child, ast.stmt):
-                self._stmt(child)
+    def _bind(self, target: ast.expr, token: Optional[str],
+              source: Optional[ast.expr]) -> None:
+        if isinstance(target, ast.Name):
+            if token is not None:
+                self.env[target.id] = token
             else:
-                self._children(child)
+                self.env.pop(target.id, None)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            # meshgrid unpacking (2-D results) clears the axis tags
+            for element in target.elts:
+                self._bind(element, None, None)
 
-    def _eval(self, expr: ast.expr) -> Optional[str]:
+    def eval(self, expr: ast.expr) -> Optional[str]:
         if isinstance(expr, ast.Call):
             for arg in expr.args:
-                self._eval(arg)
+                self.eval(arg)
             for keyword in expr.keywords:
-                self._eval(keyword.value)
+                self.eval(keyword.value)
             return _axis_token(expr)
         if isinstance(expr, ast.Name):
             return self.env.get(expr.id)
         if isinstance(expr, ast.BinOp) and isinstance(
             expr.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
         ):
-            left = self._eval(expr.left)
-            right = self._eval(expr.right)
+            left = self.eval(expr.left)
+            right = self.eval(expr.right)
             if left is not None and right is not None and left != right:
                 self.findings.append(self.rule.finding(
                     self.module, expr,
@@ -381,10 +344,10 @@ class _AxisTracker:
                 return None
             return left if left == right else None
         if isinstance(expr, ast.UnaryOp):
-            return self._eval(expr.operand)
+            return self.eval(expr.operand)
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
-                self._eval(child)
+                self.eval(child)
         return None
 
 
@@ -398,7 +361,8 @@ class SilentBroadcastRule(LintRule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for scope in _functions(module.tree):
             tracker = _AxisTracker(self, module)
-            yield from tracker.run(scope)
+            tracker.exec_block(scope.body)
+            yield from tracker.findings
 
 
 # ---------------------------------------------------------------------------
@@ -425,30 +389,31 @@ def _annotation_is_ndarray(node: Optional[ast.expr]) -> bool:
         return False
 
 
-class _NdarrayNames(ast.NodeVisitor):
-    """Names bound to ndarrays inside one function (params + np.* calls)."""
+class _NdarrayNames(BodyWalker[bool]):
+    """Names bound to ndarrays inside one function (params + np.* calls).
 
-    def __init__(self, func: ast.AST) -> None:
+    The set only grows: a name that held an array anywhere in the body
+    counts for every loop in it."""
+
+    def __init__(self, func: Scope) -> None:
         self.names: Set[str] = set()
-        args = getattr(func, "args", None)
-        if args is not None:
+        if not isinstance(func, ast.Module):
+            args = func.args
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 if _annotation_is_ndarray(arg.annotation):
                     self.names.add(arg.arg)
-        for stmt in getattr(func, "body", []):
-            self._scan(stmt)
+        self.exec_block(func.body)
 
-    def _scan(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
-            if call_simple_name(stmt.value) in _ARRAY_CTORS:
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        self.names.add(target.id)
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._scan(child)
+    def eval(self, expr: ast.expr) -> bool:
+        return isinstance(expr, ast.Call) and call_simple_name(expr) in _ARRAY_CTORS
+
+    def _iterate(self, iterable: ast.expr) -> bool:
+        return False  # an element of an array is not the array
+
+    def _bind(self, target: ast.expr, is_array: bool,
+              source: Optional[ast.expr]) -> None:
+        if is_array and isinstance(target, ast.Name):
+            self.names.add(target.id)
 
 
 def _loop_over_ndarray(iter_expr: ast.expr, names: Set[str]) -> Optional[str]:
@@ -496,7 +461,7 @@ class PythonLoopOverNdarrayRule(LintRule):
                             f"python-level loop over ndarray {hit!r}; "
                             "per-element interpreter dispatch dominates at "
                             "per-gate scale — replace with vectorized numpy "
-                            "ops (see ROADMAP item 4)",
+                            "ops",
                         )
                 elif isinstance(stmt, (ast.ListComp, ast.SetComp,
                                        ast.GeneratorExp, ast.DictComp)):
@@ -506,6 +471,5 @@ class PythonLoopOverNdarrayRule(LintRule):
                             yield self.finding(
                                 module, stmt,
                                 f"comprehension over ndarray {hit!r}; "
-                                "replace with vectorized numpy ops (see "
-                                "ROADMAP item 4)",
+                                "replace with vectorized numpy ops",
                             )

@@ -12,7 +12,9 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lintcheck.cachesafety import STAGE_BASE, returned_dicts, stage_name_and_version
-from repro.lintcheck.callgraph import walk_skipping_functions
+from repro.lintcheck.callgraph import (
+    ModuleInfo, dotted_name, index_imports, module_name_for, walk_skipping_functions,
+)
 from repro.lintcheck.core import Finding, LintRule, ModuleSource, register
 
 
@@ -75,107 +77,49 @@ class UnseededRngRule(LintRule):
     or test-ordering change silently perturbs — which breaks
     bit-identical resume.  Constructing a generator *without* a seed
     (``random.Random()``, ``default_rng()``) is flagged for the same
-    reason.
+    reason.  Calls resolve through the module's imports
+    (:func:`~repro.lintcheck.callgraph.index_imports`), so ``np.random``
+    and from-imported names are caught under any alias.
     """
 
     id = "unseeded-rng"
     title = "RNG must be an explicit seeded generator"
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        random_aliases: Set[str] = set()
-        numpy_aliases: Set[str] = set()
-        nprandom_aliases: Set[str] = set()
-        banned_names: Dict[str, str] = {}
-        seeded_ctor_names: Set[str] = set()
-
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "random":
-                        random_aliases.add(bound)
-                    elif alias.name == "numpy":
-                        numpy_aliases.add(bound)
-                    elif alias.name == "numpy.random":
-                        if alias.asname:
-                            nprandom_aliases.add(alias.asname)
-                        else:
-                            numpy_aliases.add("numpy")
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                if node.module == "random":
-                    for alias in node.names:
-                        bound = alias.asname or alias.name
-                        if alias.name in _RANDOM_ALLOWED:
-                            seeded_ctor_names.add(bound)
-                        else:
-                            banned_names[bound] = f"random.{alias.name}"
-                elif node.module == "numpy":
-                    for alias in node.names:
-                        if alias.name == "random":
-                            nprandom_aliases.add(alias.asname or "random")
-                elif node.module == "numpy.random":
-                    for alias in node.names:
-                        bound = alias.asname or alias.name
-                        if alias.name in _NUMPY_RANDOM_ALLOWED:
-                            seeded_ctor_names.add(bound)
-                        else:
-                            banned_names[bound] = f"numpy.random.{alias.name}"
-
+        info = ModuleInfo(name=module_name_for(module.path)[1],
+                          path=module.path, tree=module.tree)
+        index_imports(info)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
-            if dotted is None:
+            target = dotted_name(info, node.func)
+            package, _, attr = (target or "").rpartition(".")
+            if package == "random":
+                allowed, remedy = _RANDOM_ALLOWED, "an explicit `random.Random(seed)`"
+            elif package == "numpy.random":
+                allowed, remedy = _NUMPY_RANDOM_ALLOWED, "`numpy.random.default_rng(seed)`"
+            else:
                 continue
-            label = ".".join(dotted)
-            if len(dotted) == 2 and dotted[0] in random_aliases:
-                if dotted[1] in _RANDOM_ALLOWED:
-                    if not self._has_seed(node):
-                        yield self.finding(
-                            module, node,
-                            f"`{label}()` constructed without a seed; pass an "
-                            "explicit seed so reruns are bit-identical",
-                        )
-                else:
+            spelled = ast.unparse(node.func)
+            if attr in allowed:
+                if not self._has_seed(node):
                     yield self.finding(
                         module, node,
-                        f"module-level RNG call `{label}` uses hidden global "
-                        "state; draw from an explicit `random.Random(seed)`",
-                    )
-            elif (
-                (len(dotted) == 3 and dotted[0] in numpy_aliases
-                 and dotted[1] == "random")
-                or (len(dotted) == 2 and dotted[0] in nprandom_aliases)
-            ):
-                attr = dotted[-1]
-                if attr in _NUMPY_RANDOM_ALLOWED:
-                    if not self._has_seed(node):
-                        yield self.finding(
-                            module, node,
-                            f"`{label}()` constructed without a seed; pass an "
-                            "explicit seed so reruns are bit-identical",
-                        )
-                else:
-                    yield self.finding(
-                        module, node,
-                        f"module-level RNG call `{label}` uses hidden global "
-                        "state; draw from `numpy.random.default_rng(seed)`",
-                    )
-            elif len(dotted) == 1:
-                name = dotted[0]
-                if name in banned_names:
-                    yield self.finding(
-                        module, node,
-                        f"module-level RNG call `{banned_names[name]}` uses "
-                        "hidden global state; draw from an explicit seeded "
-                        "generator",
-                    )
-                elif name in seeded_ctor_names and not self._has_seed(node):
-                    yield self.finding(
-                        module, node,
-                        f"`{name}()` constructed without a seed; pass an "
+                        f"`{spelled}()` constructed without a seed; pass an "
                         "explicit seed so reruns are bit-identical",
                     )
+            elif isinstance(node.func, ast.Name):
+                yield self.finding(
+                    module, node,
+                    f"module-level RNG call `{target}` uses hidden global "
+                    "state; draw from an explicit seeded generator",
+                )
+            else:
+                yield self.finding(
+                    module, node,
+                    f"module-level RNG call `{spelled}` uses hidden global "
+                    f"state; draw from {remedy}",
+                )
 
     @staticmethod
     def _has_seed(call: ast.Call) -> bool:
@@ -188,97 +132,7 @@ class UnseededRngRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# Rule 2: hash-entropy
-# ---------------------------------------------------------------------------
-
-#: dotted calls that differ between two otherwise identical runs
-_ENTROPY_DOTTED = {
-    ("time", "time"), ("time", "time_ns"), ("time", "monotonic"),
-    ("time", "monotonic_ns"), ("os", "urandom"),
-    ("uuid", "uuid1"), ("uuid", "uuid4"),
-}
-_ENTROPY_DATETIME_ATTRS = {"now", "utcnow", "today"}
-_ENTROPY_BUILTINS = {"id", "hash"}
-#: function names that feed artifact keys by contract even though the
-#: ``stable_hash`` call happens in their caller
-_KEY_FEEDING_FUNCTIONS = {"config_slice", "fingerprint", "_fingerprint"}
-
-
-@register
-class HashEntropyRule(LintRule):
-    """No per-run entropy may reach ``stable_hash`` or artifact keys.
-
-    ``time.time()``, ``datetime.now()``, ``os.urandom()``, ``uuid4()``,
-    ``id()`` and the salted builtin ``hash()`` differ between two
-    otherwise identical runs; one of them inside a key computation makes
-    every cache lookup a miss (or, worse, a false hit after a collision).
-    Checked inside any function that calls ``stable_hash`` or is named
-    ``config_slice``/``fingerprint``, plus the argument expressions of
-    every ``stable_hash(...)`` call.
-    """
-
-    id = "hash-entropy"
-    title = "no wall-clock/address entropy near stable_hash"
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        seen: Set[Tuple[int, int]] = set()
-        for scope_node, scope_label in self._key_feeding_scopes(module.tree):
-            for found in self._scan(module, scope_node, scope_label):
-                key = (found.line, found.col)
-                if key not in seen:
-                    seen.add(key)
-                    yield found
-
-    def _key_feeding_scopes(
-        self, tree: ast.Module
-    ) -> Iterator[Tuple[ast.AST, str]]:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in _KEY_FEEDING_FUNCTIONS or any(
-                    self._is_stable_hash_call(child) for child in ast.walk(node)
-                ):
-                    yield node, f"function {node.name!r}"
-            elif self._is_stable_hash_call(node):
-                # Covers module-level key computations outside any def.
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    yield arg, "stable_hash argument"
-
-    @staticmethod
-    def _is_stable_hash_call(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        dotted = _dotted_name(node.func)
-        return bool(dotted) and dotted[-1] == "stable_hash"
-
-    def _scan(
-        self, module: ModuleSource, scope: ast.AST, scope_label: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted_name(node.func)
-            if dotted is None:
-                continue
-            label = ".".join(dotted)
-            entropic = (
-                dotted[-2:] in _ENTROPY_DOTTED
-                or (len(dotted) == 1 and dotted[0] in _ENTROPY_BUILTINS)
-                or (
-                    dotted[-1] in _ENTROPY_DATETIME_ATTRS
-                    and any(part in ("datetime", "date") for part in dotted[:-1])
-                )
-            )
-            if entropic:
-                yield self.finding(
-                    module, node,
-                    f"`{label}` is per-run entropy inside {scope_label}, which "
-                    "feeds stable_hash/artifact keys; derive the value from "
-                    "run inputs instead",
-                )
-
-
-# ---------------------------------------------------------------------------
-# Rule 3: unordered-iteration
+# Rule 2: unordered-iteration
 # ---------------------------------------------------------------------------
 
 
@@ -379,7 +233,7 @@ class UnorderedIterationRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# Rule 4: stage-contract
+# Rule 3: stage-contract
 # ---------------------------------------------------------------------------
 
 
@@ -443,7 +297,7 @@ class StageContractRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: broad-except
+# Rule 4: broad-except
 # ---------------------------------------------------------------------------
 
 
@@ -491,7 +345,7 @@ class BroadExceptRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# Rule 6: mutable-default
+# Rule 5: mutable-default
 # ---------------------------------------------------------------------------
 
 _MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict"}

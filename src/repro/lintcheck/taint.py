@@ -1,8 +1,7 @@
 """Inter-procedural entropy taint analysis.
 
-The syntactic ``hash-entropy`` rule only sees a source and a sink in the
-same function.  This module follows a value: every project function gets
-a *taint summary* — which entropy sources (and which of its own
+A source and a sink need not share a function: every project function
+gets a *taint summary* — which entropy sources (and which of its own
 parameters) can reach its return value — solved over the call graph by
 the shared :func:`~repro.lintcheck.callgraph.solve`, so ``time.time()``
 laundered through two helpers is still attached to the ``stable_hash``
@@ -19,11 +18,15 @@ constructors, builtin ``id()``/``hash()``, and unsorted iteration over a
 set (dict iteration is insertion-ordered on every supported Python and
 is exempt).  Seeded constructors (``random.Random(0)``,
 ``default_rng(7)``) are not sources, and ``sorted()``/``min()``/``max()``
-sanitize order-taint.
+sanitize order-taint.  A tainted value stored into an attribute or an
+element (``obj.stamp = time.time()``) taints the object's root name, as
+a mutating method call (``out.append(stamp)``) taints its receiver.
 
 Sinks: arguments of ``stable_hash`` (the Merkle artifact key), values of
-the dict a ``FlowStage.run()`` returns (cached artifacts), and arguments
-of ``record_*`` journal methods (the replayable run journal).
+the dict a ``FlowStage.run()`` returns (cached artifacts), the return
+value of a key feeder (a function named ``config_slice``,
+``fingerprint`` or ``_fingerprint``, whose caller hashes it), and
+arguments of ``record_*`` journal methods (the replayable run journal).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.lintcheck.callgraph import (
     Project,
     dotted_name,
     solve,
+    walk_skipping_functions,
 )
 from repro.lintcheck.core import Finding, ProjectRule, register
 
@@ -65,6 +69,9 @@ _SCRUB_ALL = frozenset({"len", "isinstance", "issubclass", "type", "callable"})
 #: calls that erase iteration-order dependence but keep entropy
 _SCRUB_ORDER = frozenset({"sorted", "min", "max", "sum", "any", "all",
                           "set", "frozenset"})
+#: functions that feed artifact keys by contract even though the
+#: ``stable_hash`` call happens in their caller
+_KEY_FEEDERS = frozenset({"config_slice", "fingerprint", "_fingerprint"})
 
 
 @dataclass(frozen=True, order=True)
@@ -146,14 +153,8 @@ class _Evaluator(BodyWalker[Labels]):
 
     # -- statement hooks ----------------------------------------------------
 
-    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
-        if stmt.value is not None:
-            self._bind(stmt.target, self.eval(stmt.value), stmt.value)
-
     def _aug_assign(self, stmt: ast.AugAssign) -> None:
-        labels = self.eval(stmt.value)
-        if isinstance(stmt.target, ast.Name):
-            self.env[stmt.target.id] = self.env.get(stmt.target.id, _EMPTY) | labels
+        self._taint_root(stmt.target, self.eval(stmt.value))
 
     def _return(self, value: Labels) -> None:
         self.returns = self.returns | value
@@ -177,6 +178,15 @@ class _Evaluator(BodyWalker[Labels]):
                 self._bind(element, labels, None)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, labels, None)
+        else:
+            self._taint_root(target, labels)
+
+    def _taint_root(self, target: ast.expr, labels: Labels) -> None:
+        """A store into ``obj.attr``/``obj[key]`` (or ``name op= ...``)
+        adds its labels to the root name."""
+        root = _root_name(target)
+        if root is not None and labels:
+            self.env[root] = self.env.get(root, _EMPTY) | labels
 
     # -- expressions --------------------------------------------------------
 
@@ -403,9 +413,10 @@ def compute_summaries(project: Project) -> Dict[str, Labels]:
 class EntropyTaintRule(ProjectRule):
     """No entropy may reach a determinism sink, however indirectly.
 
-    Subsumes the syntactic ``hash-entropy`` rule at the dataflow level:
-    the source may live any number of calls away from the sink, and the
-    finding names every hop in between.
+    The source may live any number of calls away from the sink, and the
+    finding names every hop in between.  The one entropy rule: wall-clock
+    or address entropy in a ``stable_hash`` argument, a stage's artifact
+    dict, a key feeder's return value or a journal record.
     """
 
     id = "entropy-taint"
@@ -438,22 +449,17 @@ class EntropyTaintRule(ProjectRule):
         for node, sink_desc, labels in hits:
             yield from self._emit(module, node, sink_desc, labels, emitted)
         if is_stage_run:
-            yield from self._check_run_returns(module, func, evaluator, emitted)
-
-    def _check_run_returns(
-        self,
-        module: ModuleInfo,
-        func: FunctionInfo,
-        evaluator: _Evaluator,
-        emitted: Set[Tuple[int, str, str]],
-    ) -> Iterator[Finding]:
-        for node in ast.walk(func.node):
-            if not (isinstance(node, ast.Return) and node.value is not None):
-                continue
-            labels = evaluator.eval(node.value)
-            yield from self._emit(
-                module, node, "stage run() artifact dict", labels, emitted
-            )
+            sink_desc: Optional[str] = "stage run() artifact dict"
+        elif func.name in _KEY_FEEDERS:
+            sink_desc = f"key feeder {func.name}() return value"
+        else:
+            sink_desc = None
+        if sink_desc is not None:
+            # a nested def's return is not a return of this function
+            for node in walk_skipping_functions(func.node.body):
+                if isinstance(node, ast.Return) and node.value is not None:
+                    yield from self._emit(module, node, sink_desc,
+                                          evaluator.eval(node.value), emitted)
 
     def _emit(
         self,

@@ -52,8 +52,12 @@ class CdVariationSpec:
     def __post_init__(self) -> None:
         if not self.correlation_length_nm > 0:
             raise ValueError(f"correlation_length_nm must be > 0: {self}")
-        if min(self.sigma_random_nm, self.sigma_correlated_nm) < 0:
-            raise ValueError(f"sigma_random_nm and sigma_correlated_nm must be >= 0: {self}")
+        if not math.isfinite(self.mean_nm):
+            raise ValueError(f"mean_nm must be finite: {self}")
+        if not all(math.isfinite(sigma) and sigma >= 0
+                   for sigma in (self.sigma_random_nm, self.sigma_correlated_nm)):
+            raise ValueError(
+                f"sigma_random_nm and sigma_correlated_nm must be finite and >= 0: {self}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@
 any input whose hash depends on insertion order, process identity, or
 PYTHONHASHSEED silently poisons every artifact key derived from it.
 These tests pin the invariants the lintcheck rules (unordered-iteration,
-hash-entropy) exist to protect.
+entropy-taint) exist to protect.
 """
 
 import subprocess

@@ -17,7 +17,7 @@ def waived_rng() -> float:
 
 
 def waived_entropy(config: object) -> str:
-    # repro-lint: allow[hash-entropy,entropy-taint] demo waiver on the line above
+    # repro-lint: allow[entropy-taint] demo waiver on the line above
     return stable_hash((config, id(config)))
 
 

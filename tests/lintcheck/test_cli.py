@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 from repro.__main__ import main
-from repro.lintcheck import check_paths
+from repro.lintcheck import check_paths, iter_rules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -37,7 +37,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("unseeded-rng", "hash-entropy", "unordered-iteration",
+        for rule_id in ("unseeded-rng", "unordered-iteration",
                         "stage-contract", "stage-edge-contract",
                         "broad-except", "mutable-default",
                         "cache-undeclared-input", "stale-version",
@@ -80,19 +80,13 @@ class TestCorpus:
     corpus, and the fully-waived file contributes nothing."""
 
     def test_every_rule_fires_in_corpus(self):
-        # stale-version is absent by design: it needs a fingerprint file
-        # recorded for the corpus stages, exercised in test_cachesafety.
+        # Derived from the registry, so a rule added without a corpus
+        # fixture fails here.  stale-version is absent by design: it
+        # needs a fingerprint file recorded for the corpus stages,
+        # exercised in test_cachesafety.
         findings = check_paths([CORPUS])
         fired = {finding.rule for finding in findings}
-        assert fired == {
-            "unseeded-rng", "hash-entropy", "unordered-iteration",
-            "stage-contract", "stage-edge-contract", "broad-except",
-            "mutable-default", "cache-undeclared-input", "entropy-taint",
-            "unguarded-shared-state", "lock-order-inversion",
-            "blocking-in-async",
-            "unit-mismatch", "missing-grid-conversion", "unit-unsafe-return",
-            "dtype-drift", "silent-broadcast", "python-loop-over-ndarray",
-        }
+        assert fired == {rule.id for rule in iter_rules()} - {"stale-version"}
 
     def test_corpus_findings_match_golden(self, monkeypatch, capsys):
         # The corpus is the spec: every finding, message text included,

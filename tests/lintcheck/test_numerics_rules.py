@@ -28,6 +28,16 @@ class TestDtypeDrift:
         """, DTYPE)
         assert [f.rule for f in found] == ["dtype-drift"]
 
+    def test_walrus_binds_the_dtype(self):
+        found = lint("""
+            import numpy as np
+
+            def f(n):
+                if (low := np.zeros(n, dtype=np.float32)) is not None:
+                    return low + np.linspace(0.0, 1.0, n)
+        """, DTYPE)
+        assert [f.rule for f in found] == ["dtype-drift"]
+
     def test_matching_f32_is_clean(self):
         found = lint("""
             import numpy as np
@@ -145,6 +155,37 @@ class TestSilentBroadcast:
                 xs = np.arange(nx)
                 ys = np.arange(ny)
                 return xs[: ny // 2] + ys[: ny // 2]
+        """, BROADCAST)
+        assert found == []
+
+
+class TestForTargetRebinding:
+    """A ``for`` target is rebound by the loop: after ``for x in
+    range(n)``, ``x`` no longer names the array it held before."""
+
+    def test_dtype_is_forgotten(self):
+        # without the loop this is the float32-meets-float64 case
+        found = lint("""
+            import numpy as np
+
+            def f(n):
+                x = np.zeros(n, dtype=np.float32)
+                for x in range(n):
+                    pass
+                return x + np.linspace(0.0, 1.0, n)
+        """, DTYPE)
+        assert found == []
+
+    def test_axis_length_is_forgotten(self):
+        # without the loop this is an nx-by-ny crossed product
+        found = lint("""
+            import numpy as np
+
+            def f(nx, ny):
+                x = np.fft.fftfreq(nx)
+                for x in range(nx):
+                    pass
+                return x * np.fft.fftfreq(ny)
         """, BROADCAST)
         assert found == []
 

@@ -66,51 +66,6 @@ class TestUnseededRng:
         """) == []
 
 
-class TestHashEntropy:
-    def test_wallclock_in_hashing_function_fires(self):
-        findings = lint("""
-            import time
-            from repro.flow.context import stable_hash
-            def make_key(config):
-                return stable_hash((config, time.time()))
-        """)
-        assert rule_ids(findings) == ["hash-entropy"]
-
-    def test_config_slice_is_key_feeding_even_without_call(self):
-        findings = lint("""
-            class MyStage:
-                def config_slice(self, flow, config):
-                    return (id(config),)
-        """)
-        assert rule_ids(findings) == ["hash-entropy"]
-
-    def test_entropy_away_from_hashing_clean(self):
-        assert lint("""
-            import time
-            def stopwatch():
-                return time.time()
-        """) == []
-
-    def test_monotonic_timing_near_hash_clean(self):
-        # perf_counter is fine: it never flows into the key, and banning
-        # it would flag every timed stage-graph loop.
-        assert lint("""
-            import time
-            from repro.flow.context import stable_hash
-            def timed_key(config):
-                start = time.perf_counter()
-                return stable_hash(config), time.perf_counter() - start
-        """) == []
-
-    def test_waiver_suppresses(self):
-        assert lint("""
-            from repro.flow.context import stable_hash
-            def make_key(config):
-                # repro-lint: allow[hash-entropy] test waiver
-                return stable_hash((config, id(config)))
-        """) == []
-
-
 class TestUnorderedIteration:
     def test_scoped_to_flow_paths(self):
         snippet = """
@@ -310,7 +265,7 @@ class TestEngine:
         ids = [rule.id for rule in iter_rules()]
         assert ids == sorted(ids)
         assert set(ids) == {
-            "broad-except", "hash-entropy", "mutable-default",
+            "broad-except", "mutable-default",
             "stage-contract", "stage-edge-contract", "unordered-iteration",
             "unseeded-rng", "cache-undeclared-input", "stale-version",
             "entropy-taint", "unguarded-shared-state",

@@ -3,6 +3,8 @@
 import os
 import textwrap
 
+import pytest
+
 from repro.lintcheck import check_paths, rules_for, taint
 from repro.lintcheck.callgraph import Project
 
@@ -218,6 +220,27 @@ class TestOtherSinks:
         assert len(findings) == 1
         assert "stage run() artifact dict" in findings[0].message
 
+    def test_nested_def_return_is_not_the_run_return(self, tmp_path):
+        assert lint_file(tmp_path, """
+            import time
+
+
+            class FlowStage:
+                name = "base"
+                version = 0
+
+
+            class TimedStage(FlowStage):
+                name = "timed"
+                version = 1
+
+                def run(self, flow, config, artifacts, counters, context):
+                    def now():
+                        return time.time()
+                    counters["started"] = now()
+                    return {"doubled": config.alpha * 2}
+        """) == []
+
     def test_clean_stage_run_return_is_silent(self, tmp_path):
         assert lint_file(tmp_path, """
             class FlowStage:
@@ -232,6 +255,91 @@ class TestOtherSinks:
                 def run(self, flow, config, artifacts, counters, context):
                     return {"doubled": config.alpha * 2}
         """) == []
+
+
+class TestKeySinks:
+    """Entropy near artifact keys: a ``stable_hash`` argument, the return
+    value of a key feeder (``config_slice``/``fingerprint``), and a store
+    into an object that later reaches a key."""
+
+    def test_wallclock_reaching_stable_hash_fires(self, tmp_path):
+        findings = lint_file(tmp_path, """
+            import time
+            from repro.flow.context import stable_hash
+
+            def make_key(config):
+                return stable_hash((config, time.time()))
+        """)
+        assert [f.rule for f in findings] == ["entropy-taint"]
+
+    def test_config_slice_return_is_a_sink_without_a_hash_call(self, tmp_path):
+        findings = lint_file(tmp_path, """
+            class MyStage:
+                def config_slice(self, flow, config):
+                    return (id(config),)
+        """)
+        assert [f.rule for f in findings] == ["entropy-taint"]
+        assert "id() (" in findings[0].message
+        assert "key feeder config_slice() return value" in findings[0].message
+
+    def test_fingerprint_return_is_a_sink(self, tmp_path):
+        findings = lint_file(tmp_path, """
+            import time
+
+            class RunConfig:
+                def fingerprint(self):
+                    return f"cfg-{time.time()}"
+        """)
+        assert len(findings) == 1
+        assert "key feeder fingerprint() return value" in findings[0].message
+
+    def test_entropy_away_from_keys_is_clean(self, tmp_path):
+        assert lint_file(tmp_path, """
+            import time
+
+            def stopwatch():
+                return time.time()
+        """) == []
+
+    def test_perf_counter_timing_next_to_a_hash_is_clean(self, tmp_path):
+        # the timer never flows into the key; flagging it would flag
+        # every timed stage-graph loop
+        assert lint_file(tmp_path, """
+            import time
+            from repro.flow.context import stable_hash
+
+            def timed_key(config):
+                start = time.perf_counter()
+                return stable_hash(config), time.perf_counter() - start
+        """) == []
+
+    @pytest.mark.parametrize("store", [
+        "record.stamp = time.time()",
+        "record['stamp'] = time.time()",
+        "record.stamps += [time.time()]",
+    ])
+    def test_store_into_an_object_taints_it(self, tmp_path, store):
+        findings = lint_file(tmp_path, """
+            import time
+            from repro.flow.context import stable_hash
+
+            def key(config, record):
+                STORE
+                return stable_hash((config, record))
+        """.replace("STORE", store))
+        assert len(findings) == 1
+        assert "time.time()" in findings[0].message
+
+    def test_waiver_suppresses(self, tmp_path):
+        text = """
+            from repro.flow.context import stable_hash
+
+            def make_key(config):
+                # repro-lint: allow[entropy-taint] test waiver
+                return stable_hash((config, id(config)))
+        """
+        assert lint_file(tmp_path, text) == []
+        assert lint_file(tmp_path, text, apply_waivers=False) != []
 
 
 class TestWaivers:

@@ -257,16 +257,34 @@ class TestSpecValidation:
         ("correlation_length_nm", float("nan")),
         ("sigma_random_nm", -0.5),
         ("sigma_correlated_nm", -1.0),
+        # a NaN sigma made every WNS sample NaN, and an infinite mean made
+        # it -inf, because `min(...) < 0` is False for NaN and the mean
+        # was not checked at all
+        ("sigma_random_nm", float("nan")),
+        ("sigma_correlated_nm", float("nan")),
+        ("sigma_random_nm", float("inf")),
+        ("sigma_correlated_nm", float("inf")),
+        ("mean_nm", float("nan")),
+        ("mean_nm", float("inf")),
+        ("mean_nm", float("-inf")),
     ])
     def test_rejected_at_construction(self, field, value):
         # A zero length used to raise ZeroDivisionError in the middle of a
         # placed draw.
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"{field}.* must be"):
             CdVariationSpec(**{field: value})
 
     def test_zero_sigmas_are_valid(self):
         spec = CdVariationSpec(sigma_random_nm=0.0, sigma_correlated_nm=0.0)
         assert spec.sigma_random_nm == spec.sigma_correlated_nm == 0.0
+
+    def test_infinite_correlation_length_is_a_uniform_offset(self):
+        spec = CdVariationSpec(sigma_random_nm=0.0, correlation_length_nm=float("inf"))
+        lib = build_library(make_tech_90nm())
+        netlist = structured_asic(150, seed=2)
+        deltas = sample_instance_deltas(netlist, place_rows(netlist, lib), spec, 0)
+        assert len(set(deltas.values())) == 1
+        assert math.isfinite(next(iter(deltas.values())))
 
 
 @pytest.fixture(scope="module")
