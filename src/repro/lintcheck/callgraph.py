@@ -610,7 +610,8 @@ def walk_skipping_functions(nodes: Sequence[ast.AST]) -> Iterator[ast.AST]:
 
 
 class BodyWalker(Generic[V]):
-    """One forward pass over a function body, generic in the value domain.
+    """One forward pass over a body of statements, generic in the value
+    domain (a function body, or a module or class body for taint).
 
     The one statement walk of the lint engine, shared by every
     per-function evaluator (units, taint, dtype, axis lengths and ndarray

@@ -128,7 +128,7 @@ def _root_name(expr: ast.expr) -> Optional[str]:
 
 
 class _Evaluator(BodyWalker[Labels]):
-    """Single forward pass over one function body.
+    """Single forward pass over one function, module or class body.
 
     Tracks per-variable label sets and which variables hold sets (so
     iterating one adds order-taint).  With ``hits`` given, every tainted
@@ -333,9 +333,14 @@ class _Evaluator(BodyWalker[Labels]):
         return everything
 
     def _resolve(self, call: ast.Call) -> Optional[FunctionInfo]:
-        if self.func is None:
-            return None
-        return self.project.resolve_call(self.func, call.func, None)
+        if self.func is not None:
+            return self.project.resolve_call(self.func, call.func, None)
+        # outside any def: only the module's own top-level functions
+        if isinstance(call.func, ast.Name):
+            qualname = self.module.functions.get(call.func.id)
+            if qualname is not None:
+                return self.project.functions[qualname]
+        return None
 
     def _apply_summary(
         self,
@@ -416,7 +421,9 @@ class EntropyTaintRule(ProjectRule):
     The source may live any number of calls away from the sink, and the
     finding names every hop in between.  The one entropy rule: wall-clock
     or address entropy in a ``stable_hash`` argument, a stage's artifact
-    dict, a key feeder's return value or a journal record.
+    dict, a key feeder's return value or a journal record.  Module-level
+    and class-body code is checked too, so a key computed at import time
+    is covered like one computed in a function.
     """
 
     id = "entropy-taint"
@@ -433,6 +440,8 @@ class EntropyTaintRule(ProjectRule):
                 project, module, func, summaries,
                 is_stage_run=func.qualname in run_methods,
             )
+        for module in project.iter_selected_modules():
+            yield from self._check_outside_defs(project, module, summaries)
 
     def _check_function(
         self,
@@ -448,18 +457,35 @@ class EntropyTaintRule(ProjectRule):
         emitted: Set[Tuple[int, str, str]] = set()
         for node, sink_desc, labels in hits:
             yield from self._emit(module, node, sink_desc, labels, emitted)
+        return_sink: Optional[str] = None
         if is_stage_run:
-            sink_desc: Optional[str] = "stage run() artifact dict"
+            return_sink = "stage run() artifact dict"
         elif func.name in _KEY_FEEDERS:
-            sink_desc = f"key feeder {func.name}() return value"
-        else:
-            sink_desc = None
-        if sink_desc is not None:
+            return_sink = f"key feeder {func.name}() return value"
+        if return_sink is not None:
             # a nested def's return is not a return of this function
             for node in walk_skipping_functions(func.node.body):
                 if isinstance(node, ast.Return) and node.value is not None:
-                    yield from self._emit(module, node, sink_desc,
+                    yield from self._emit(module, node, return_sink,
                                           evaluator.eval(node.value), emitted)
+
+    def _check_outside_defs(
+        self, project: Project, module: ModuleInfo, summaries: Dict[str, Labels]
+    ) -> Iterator[Finding]:
+        """Key computations at module level and in class bodies
+        (``_KEY = stable_hash((SCHEMA, os.getpid()))``): each class body
+        sees the module's names, as Python scoping has it."""
+        hits: List[SinkHit] = []
+        top = _Evaluator(project, module, None, summaries.get, hits)
+        top.exec_block(module.tree.body)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ClassDef):
+                body = _Evaluator(project, module, None, summaries.get, hits)
+                body.env = dict(top.env)
+                body.exec_block(node.body)
+        emitted: Set[Tuple[int, str, str]] = set()
+        for node, sink_desc, labels in hits:
+            yield from self._emit(module, node, sink_desc, labels, emitted)
 
     def _emit(
         self,

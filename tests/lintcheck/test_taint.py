@@ -330,6 +330,47 @@ class TestKeySinks:
         assert len(findings) == 1
         assert "time.time()" in findings[0].message
 
+    def test_module_level_key_computation_fires(self, tmp_path):
+        findings = lint_file(tmp_path, """
+            import os
+            import time
+            from repro.flow.context import stable_hash
+
+            SCHEMA = 3
+            _STAMP = time.time()
+            _KEY = stable_hash((SCHEMA, os.getpid()))
+            _OTHER = stable_hash(_STAMP)
+        """)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("entropy-taint", 8), ("entropy-taint", 9),
+        ]
+        assert "os.getpid() (" in findings[0].message
+        assert "time.time() (" in findings[1].message
+
+    def test_class_body_key_computation_fires(self, tmp_path):
+        findings = lint_file(tmp_path, """
+            import time
+            from repro.flow.context import stable_hash
+
+            def _now():
+                return time.time()
+
+            class Stage:
+                KEY = stable_hash(("stage", _now()))
+        """)
+        assert [(f.rule, f.line) for f in findings] == [("entropy-taint", 9)]
+        assert "-> _now -> stable_hash() argument" in findings[0].message
+
+    def test_clean_module_level_key_is_silent(self, tmp_path):
+        assert lint_file(tmp_path, """
+            import time
+            from repro.flow.context import stable_hash
+
+            SCHEMA = 3
+            _KEY = stable_hash(("schema", SCHEMA))
+            STARTED = time.time()
+        """) == []
+
     def test_waiver_suppresses(self, tmp_path):
         text = """
             from repro.flow.context import stable_hash
