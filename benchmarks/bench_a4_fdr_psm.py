@@ -9,8 +9,6 @@ Two extension studies tied to the authors' companion work:
 
 import dataclasses
 
-import pytest
-
 from repro.analysis import format_table
 from repro.dfm import explore_pitch_rules
 from repro.litho import LithographySimulator, grating_meef, grating_nils

@@ -11,8 +11,6 @@ Two questions about the stage-graph engine:
 
 import time
 
-import pytest
-
 from repro.analysis import format_table
 from repro.circuits import c17
 from repro.flow import FlowConfig, FlowSweep, ParallelExecutor, PostOpcTimingFlow

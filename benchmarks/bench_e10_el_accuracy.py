@@ -11,8 +11,6 @@ import pytest
 
 from repro.analysis import format_table
 from repro.device import equivalent_length_drive, equivalent_length_leakage
-from repro.geometry import Rect
-from repro.metrology.gate_cd import GateCdMeasurement
 
 PROFILES = {
     "uniform":  [88, 88, 88, 88, 88],

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.geometry import Rect
 from repro.opc import apply_model_opc, apply_rule_opc, run_orc
 from repro.pdk import Layers
 

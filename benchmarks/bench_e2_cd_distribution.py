@@ -5,8 +5,6 @@ transistor printed CDs over the whole adder with an across-chip
 dose/defocus map, split into systematic (context) and random components.
 """
 
-import pytest
-
 from repro.analysis import format_histogram, format_table
 from repro.metrology import measure_gate_cds
 from repro.metrology.statistics import histogram_of_errors, systematic_random_split

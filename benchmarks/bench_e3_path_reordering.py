@@ -7,8 +7,6 @@ CD residuals (different cells print differently) change the ranking, and
 the #1 speed path itself changes.
 """
 
-import pytest
-
 from repro.analysis import format_table
 
 

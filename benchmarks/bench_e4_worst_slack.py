@@ -7,8 +7,6 @@ signoff margin, and the direction flips with the sign of the residual CD
 bias (thin gates -> faster/leakier, fat gates -> slower).
 """
 
-import pytest
-
 from repro.analysis import format_table
 
 

@@ -7,8 +7,6 @@ distribution over realistic (partially correlated) CD fields never gets
 close to the corner bound.
 """
 
-import pytest
-
 from repro.analysis import format_table
 from repro.timing import run_corners, run_monte_carlo
 from repro.timing.mc import CdVariationSpec

@@ -7,8 +7,6 @@ critical gates at model-OPC accuracy for a fraction of the correction
 cost.
 """
 
-import pytest
-
 from repro.analysis import format_table
 from repro.flow import FlowConfig
 

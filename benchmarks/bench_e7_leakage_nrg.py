@@ -7,7 +7,6 @@ leakage because the narrowest slices dominate the exponential.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.device import extract_equivalent_lengths

@@ -284,49 +284,38 @@ class PostOpcTimingFlow:
             self.simulator.max_tile_px,
         ))
 
-    # -- layout artifacts (computed by PlaceStage, cached on the flow) ------
-
-    def _build_layout(self) -> Dict[str, object]:
-        with self._state_lock:
-            if self._placement is None:
-                placement = place_rows(self.netlist, self.cells)
-                self._gate_rects = instance_gate_rects(
-                    self.netlist, self.cells, placement
-                )
-                self._owned_polygons = self._collect_poly_layer(placement)
-                self._placement = placement
-            return {
-                "placement": self._placement,
-                "gate_rects": self._gate_rects,
-                "owned_polygons": self._owned_polygons,
-            }
+    # -- layout, each part built by its first reader -----------------------
 
     def _install_layout(self, outputs: Dict[str, object]) -> None:
         with self._state_lock:
             if self._placement is None:
-                self._gate_rects = cast(GateRectMap, outputs["gate_rects"])
-                self._owned_polygons = cast(
-                    List[Tuple[str, Polygon]], outputs["owned_polygons"]
-                )
                 self._placement = cast(Placement, outputs["placement"])
 
     @property
     def placement(self) -> Placement:
-        self._build_layout()
-        assert self._placement is not None
-        return self._placement
+        with self._state_lock:
+            if self._placement is None:
+                self._placement = place_rows(self.netlist, self.cells)
+            return self._placement
 
     @property
     def gate_rects(self) -> GateRectMap:
-        self._build_layout()
-        assert self._gate_rects is not None
-        return self._gate_rects
+        """Per-transistor gate rects; only litho, metrology and export
+        read them, so timing-only flows never build them."""
+        with self._state_lock:
+            if self._gate_rects is None:
+                self._gate_rects = instance_gate_rects(
+                    self.netlist, self.cells, self.placement
+                )
+            return self._gate_rects
 
     @property
     def owned_polygons(self) -> List[Tuple[str, Polygon]]:
-        self._build_layout()
-        assert self._owned_polygons is not None
-        return self._owned_polygons
+        """Flat poly layer, built like :attr:`gate_rects` on first read."""
+        with self._state_lock:
+            if self._owned_polygons is None:
+                self._owned_polygons = self._collect_poly_layer(self.placement)
+            return self._owned_polygons
 
     @property
     def engine(self) -> StaEngine:

@@ -112,13 +112,14 @@ class FlowStage:
 
 
 class PlaceStage(FlowStage):
-    """Row placement, per-instance gate rects, and the flat poly layer."""
+    """Row placement.  The gate rects and the poly layer are not artifacts:
+    the flow builds them on first read, so timing-only graphs skip them."""
 
     name = "place"
-    version = 1
+    version = 2  # v2: provides the placement only
 
     def provides(self) -> Tuple[str, ...]:
-        return ("placement", "gate_rects", "owned_polygons")
+        return ("placement",)
 
     def install(self, flow: "PostOpcTimingFlow", outputs: Dict[str, Any]) -> None:
         flow._install_layout(outputs)
@@ -131,10 +132,9 @@ class PlaceStage(FlowStage):
         counters: Dict[str, float],
         context: FlowContext,
     ) -> Dict[str, Any]:
-        outputs = flow._build_layout()
-        counters["gates"] = len(outputs["placement"].gates)
-        counters["polygons"] = len(outputs["owned_polygons"])
-        return outputs
+        placement = flow.placement
+        counters["gates"] = len(placement.gates)
+        return {"placement": placement}
 
 
 class DrawnStaStage(FlowStage):

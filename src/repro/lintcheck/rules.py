@@ -9,7 +9,8 @@ a journal line, or an export stream, so that rule pins ``repro/flow/``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Set, Tuple, cast
 
 from repro.lintcheck.cachesafety import STAGE_BASE, returned_dicts, stage_name_and_version
 from repro.lintcheck.callgraph import (
@@ -55,6 +56,19 @@ def _inside_sorted_call(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:
     return False
 
 
+def _scope_nodes(roots: List[ast.AST]) -> Iterator[ast.AST]:
+    """Every node of one scope.  A nested def is yielded with its
+    decorators, defaults and annotations, but its body is its own scope."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            children = (child for child in children if child not in node.body)
+        stack.extend(children)
+
+
 # ---------------------------------------------------------------------------
 # Rule 1: unseeded-rng
 # ---------------------------------------------------------------------------
@@ -79,7 +93,9 @@ class UnseededRngRule(LintRule):
     (``random.Random()``, ``default_rng()``) is flagged for the same
     reason.  Calls resolve through the module's imports
     (:func:`~repro.lintcheck.callgraph.index_imports`), so ``np.random``
-    and from-imported names are caught under any alias.
+    and from-imported names are caught under any alias, and through plain
+    ``name = <random module>`` assignments of the enclosing module or
+    function scopes (``r = np.random; r.normal()``).
     """
 
     id = "unseeded-rng"
@@ -89,7 +105,26 @@ class UnseededRngRule(LintRule):
         info = ModuleInfo(name=module_name_for(module.path)[1],
                           path=module.path, tree=module.tree)
         index_imports(info)
-        for node in ast.walk(module.tree):
+        yield from self._check_scope(module, info, [module.tree])
+
+    def _check_scope(self, module: ModuleSource, info: ModuleInfo,
+                     roots: List[ast.AST]) -> Iterator[Finding]:
+        """Check one module or function scope; nested defs recurse with
+        this scope's module aliases in view."""
+        nodes = list(_scope_nodes(roots))
+        assigns = sorted(
+            (node for node in nodes if isinstance(node, ast.Assign)
+             and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)),
+            key=lambda node: (node.lineno, node.col_offset),
+        )
+        for node in assigns:
+            target = dotted_name(info, node.value)
+            if target is not None and target in ("random", "numpy.random"):
+                name = cast(ast.Name, node.targets[0]).id
+                info = replace(info, imports={**info.imports, name: target})
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_scope(module, info, list(node.body))
             if not isinstance(node, ast.Call):
                 continue
             target = dotted_name(info, node.func)

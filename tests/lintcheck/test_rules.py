@@ -59,6 +59,26 @@ class TestUnseededRng:
             x = rng.random() + float(nprng.normal())
         """) == []
 
+    def test_assigned_module_alias_fires(self):
+        findings = lint("""
+            import numpy as np
+            alias = np.random
+            def draw():
+                r = alias
+                return alias.normal() + r.uniform()
+        """)
+        assert rule_ids(findings) == ["unseeded-rng", "unseeded-rng"]
+
+    def test_function_alias_stays_in_its_scope(self):
+        assert rule_ids(lint("""
+            import numpy as np
+            def global_draw():
+                r = np.random
+                return r.uniform()
+            def seeded_draw(r):
+                return r.uniform()
+        """)) == ["unseeded-rng"]
+
     def test_waiver_suppresses(self):
         assert lint("""
             import random
