@@ -60,8 +60,8 @@ from repro.metrology import CdStatistics, summarize_cds
 from repro.metrology.gate_cd import GateCdMeasurement
 from repro.opc import ModelOpcRecipe, OpcTileTask, RuleOpcRecipe, apply_rule_opc
 from repro.opc.model_based import correct_tile_chunk
-from repro.pdk import Layers, Technology
-from repro.place import Placement, instance_gate_rects, place_rows
+from repro.pdk import Technology
+from repro.place import Placement, instance_gate_rects, instance_poly_layer, place_rows
 from repro.place.assembler import GateRectMap
 from repro.timing import (
     StaEngine,
@@ -342,13 +342,7 @@ class PostOpcTimingFlow:
 
     def _collect_poly_layer(self, placement: Placement) -> List[Tuple[str, Polygon]]:
         """Flat poly shapes, tagged with the owning gate instance."""
-        owned: List[Tuple[str, Polygon]] = []
-        for gate_name in sorted(placement.gates):
-            placed = placement.gates[gate_name]
-            cell = self.cells[placed.cell_name]
-            for poly in cell.layout.polygons_on(Layers.POLY):
-                owned.append((gate_name, placed.transform.apply_polygon(poly)))
-        return owned
+        return instance_poly_layer(self.cells, placement)
 
     # -- preflight validation ------------------------------------------------
 

@@ -120,6 +120,15 @@ class Polygon:
     def translated(self, dx: float, dy: float) -> "Polygon":
         return Polygon([Point(p.x + dx, p.y + dy) for p in self._pts])
 
+    def shifted(self, dx: float, dy: float) -> "Polygon":
+        """:meth:`translated` without re-normalising: the vertices moved in
+        place and order.  Equal to it whenever the sums are exact, since an
+        exact translation keeps the vertices distinct, non-collinear and
+        counter-clockwise."""
+        shifted = object.__new__(Polygon)
+        shifted._pts = [Point(p.x + dx, p.y + dy) for p in self._pts]
+        return shifted
+
     def scaled(self, factor: float) -> "Polygon":
         if factor <= 0:
             raise ValueError("scale factor must be positive")

@@ -617,8 +617,10 @@ class BodyWalker(Generic[V]):
     per-function evaluator (units, taint, dtype, axis lengths and ndarray
     names): assignments bind, a ``for`` target and a ``with ... as``
     target are rebound, both arms of every branch and loop run against
-    one environment (an over-approximation), and nested defs/classes are
-    skipped (they get their own passes).  Subclasses supply :meth:`eval`,
+    one environment (an over-approximation), and the bodies of nested
+    defs/classes are skipped (they get their own passes), though what a
+    definition evaluates on the spot — decorators, default arguments and
+    class bases — is evaluated here.  Subclasses supply :meth:`eval`,
     :meth:`_bind` and, where the default does not fit, the hooks for
     annotated/augmented assignment, ``return``, and the value a ``for``
     loop or comprehension iterates.
@@ -687,6 +689,9 @@ class BodyWalker(Generic[V]):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
                     self.eval(child)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for expr in definition_time_exprs(stmt):
+                self.eval(expr)
 
     def _enter_generators(self, generators: Sequence[ast.comprehension]) -> None:
         """Bind a comprehension's targets and evaluate its conditions."""
@@ -694,6 +699,20 @@ class BodyWalker(Generic[V]):
             self._bind(gen.target, self._iterate(gen.iter), None)
             for condition in gen.ifs:
                 self.eval(condition)
+
+
+def definition_time_exprs(
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda]
+) -> List[ast.expr]:
+    """What a ``def``, ``class`` or ``lambda`` evaluates where it stands,
+    before its body ever runs: decorators, default arguments, class bases
+    and class keywords."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *(k.value for k in node.keywords)]
+    defaults = [*node.args.defaults, *(d for d in node.args.kw_defaults if d is not None)]
+    if isinstance(node, ast.Lambda):
+        return defaults
+    return [*node.decorator_list, *defaults]
 
 
 def dotted_name(module: ModuleInfo, expr: ast.expr) -> Optional[str]:

@@ -41,6 +41,7 @@ from repro.lintcheck.callgraph import (
     FunctionInfo,
     ModuleInfo,
     Project,
+    definition_time_exprs,
     dotted_name,
     solve,
     walk_skipping_functions,
@@ -248,7 +249,7 @@ class _Evaluator(BodyWalker[Labels]):
         if isinstance(expr, ast.Yield):
             return self.eval(expr.value) if expr.value is not None else _EMPTY
         if isinstance(expr, ast.Lambda):
-            return _EMPTY
+            return self._eval_lambda(expr)
         if isinstance(expr, ast.NamedExpr):
             labels = self.eval(expr.value)
             self._bind(expr.target, labels, expr.value)
@@ -263,6 +264,23 @@ class _Evaluator(BodyWalker[Labels]):
         for elt in elts:
             out = out | self.eval(elt)
         return out
+
+    def _eval_lambda(self, expr: ast.Lambda) -> Labels:
+        """Its defaults here, and its body (for the sinks in it) with the
+        enclosing names in scope and its own parameters untainted.  The
+        function value itself carries no labels."""
+        for default in definition_time_exprs(expr):
+            self.eval(default)
+        env, setvars = self.env, self.setvars
+        self.env, self.setvars = dict(env), set(setvars)
+        args = expr.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+            if arg is not None:
+                self.env[arg.arg] = _EMPTY
+                self.setvars.discard(arg.arg)
+        self.eval(expr.body)
+        self.env, self.setvars = env, setvars
+        return _EMPTY
 
     def _is_setlike(self, expr: ast.expr) -> bool:
         if isinstance(expr, ast.Set) or isinstance(expr, ast.SetComp):

@@ -3,17 +3,19 @@
 ``assemble_layout`` produces the GDS-ready :class:`~repro.gds.Layout` (one
 structure per distinct library cell plus a flat top cell of SREFs), and
 ``instance_gate_rects`` maps every transistor of every placed gate to its
-absolute gate region — the measurement sites for post-OPC CD extraction.
+absolute gate region — the measurement sites for post-OPC CD extraction —
+and ``instance_poly_layer`` flattens the placed poly shapes for litho.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cells import CellLibrary
 from repro.circuits import Netlist
 from repro.gds import Layout
-from repro.geometry import Rect
+from repro.geometry import Point, Polygon, Rect, Transform
+from repro.pdk import Layers
 from repro.place.placer import Placement
 
 TOP_CELL = "CHIP"
@@ -45,12 +47,53 @@ def instance_gate_rects(
     Transforms can mirror/rotate, so the cell-local gate rect is mapped
     through the instance transform and re-normalized to an axis-aligned
     rect (gate rects are axis-aligned in all eight Manhattan orientations).
+    Each cell's rects are oriented once per orientation and then only
+    translated per instance: ``Transform.apply_rect`` orients exactly, and
+    rounding is monotone, so ``min(a, b) + dx == min(a + dx, b + dx)``.
     """
+    oriented: Dict[Tuple[str, int, bool], List[Tuple[str, Rect]]] = {}
     rects: GateRectMap = {}
     for gate_name, placed in placement.gates.items():
-        cell = library[placed.cell_name]
-        for transistor in cell.transistors:
-            rects[(gate_name, transistor.name)] = placed.transform.apply_rect(
-                transistor.gate_rect
-            )
+        transform = placed.transform
+        key = (placed.cell_name, transform.rotation, transform.mirror_x)
+        shapes = oriented.get(key)
+        if shapes is None:
+            shapes = oriented[key] = [
+                (transistor.name, _oriented_rect(transform, transistor.gate_rect))
+                for transistor in library[placed.cell_name].transistors]
+        dx, dy = transform.dx, transform.dy
+        for name, r in shapes:
+            rects[(gate_name, name)] = Rect(r.x0 + dx, r.y0 + dy, r.x1 + dx, r.y1 + dy)
     return rects
+
+
+def instance_poly_layer(
+    library: CellLibrary, placement: Placement
+) -> List[Tuple[str, Polygon]]:
+    """The flat poly layer: every placed gate's poly shapes, in gate-name
+    order, each tagged with its gate.
+
+    Equal, vertex for vertex, to ``transform.apply_polygon`` per shape:
+    each cell's shapes are oriented and normalised once per orientation,
+    then translated per instance by :meth:`Polygon.shifted`.
+    """
+    oriented: Dict[Tuple[str, int, bool], List[Polygon]] = {}
+    owned: List[Tuple[str, Polygon]] = []
+    for gate_name in sorted(placement.gates):
+        placed = placement.gates[gate_name]
+        transform = placed.transform
+        key = (placed.cell_name, transform.rotation, transform.mirror_x)
+        shapes = oriented.get(key)
+        if shapes is None:
+            shapes = oriented[key] = [
+                Polygon([Point(*transform.orient(p.x, p.y)) for p in poly.points])
+                for poly in library[placed.cell_name].layout.polygons_on(Layers.POLY)]
+        owned.extend((gate_name, poly.shifted(transform.dx, transform.dy)) for poly in shapes)
+    return owned
+
+
+def _oriented_rect(transform: Transform, r: Rect) -> Rect:
+    """``r`` mirrored and rotated by ``transform``, not translated."""
+    a = transform.orient(r.x0, r.y0)
+    b = transform.orient(r.x1, r.y1)
+    return Rect(min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))

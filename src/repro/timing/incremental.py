@@ -14,22 +14,28 @@ instances' pin capacitance), then takes the cheaper of two exact paths:
   of the engine's batched kernel (:meth:`SampleKernel.state`), which
   returns arrivals, slews and each node's winning arc.  A pass is the
   cheaper path once the cone holds more than a sixth of the graph plus
-  40 gates (:func:`_kernel_pays`).
+  40 gates (:func:`_kernel_pays`).  Its result is a
+  :class:`~repro.timing.sta.KernelStaResult`: the endpoints are read
+  straight off the kernel's endpoint rows, and the arrival, slew and
+  predecessor dicts are built on first read, so a what-if that only asks
+  for slacks pays for the pass alone.  It pickles as a plain
+  :class:`StaResult`.
 
 Either result is bit-identical to a full :meth:`StaEngine.run`, including
 predecessors; parity tests on both sides of the selection enforce it
 (``tests/timing/test_incremental_parity.py``).  Non-finite derate scales
 always take the cone splice, the path that is the scalar engine itself.
 
-Two properties keep the cone small on register-rich fabrics:
+Two properties keep the cone small on register-rich fabrics, and cheap to find:
 
 * Cones are bounded at sequential elements.  A register's Q arrival is
   ``clk_to_q`` scaled by *its own* derate — independent of the arrival or
   slew at D/CK — so dirtiness does not propagate through a register that
   is not itself in the change set.  D-pin endpoint slacks still update
   because endpoints are re-collected from the patched arrival map.
-* Driver lookups go through :meth:`StaEngine.driver_name_of` (a
-  precomputed net -> driver map) instead of the O(gates) netlist scan.
+* The cone is one sweep over integer gate ids (:meth:`StaEngine.gate_graph`,
+  built on an engine's first what-if): each gate's non-sequential
+  readers, and the drivers of its input nets.
 
 ``retime`` (exported as :func:`repro.timing.retime`) is the what-if entry:
 it diffs two derate annotations with :func:`diff_derates` and
@@ -48,7 +54,9 @@ import numpy as np
 from repro.timing.kernel import derate_columns
 from repro.timing.sta import (
     _NO_DERATE,
+    Endpoint,
     InstanceDerate,
+    KernelStaResult,
     StaEngine,
     StaResult,
     TimingConstraints,
@@ -80,29 +88,25 @@ def affected_gates(
 
     The closure stops at registers: a non-changed sequential gate's output
     arrival does not depend on its inputs, so it neither joins the cone
-    nor re-dirties its Q net.
+    nor re-dirties its Q net.  It is one sweep over the gate ids
+    (``StaEngine.gate_graph``) in topological order: a gate in the cone
+    marks the non-sequential gates reading its output, which all come
+    later in the order, so every mark lands before the sweep reaches it.
     """
-    seeds: Set[str] = set(changed_gates)
-    for gate_name in changed_gates:
-        for net in engine.node(gate_name).sink_nets:
-            driver = engine.driver_name_of(net)
-            if driver is not None:
-                seeds.add(driver)
-
-    # Downstream closure over the topological order; registers come first
-    # in it, so every seed's output net is dirty before its first reader.
-    affected: Set[str] = set(seeds)
-    dirty_nets: Set[str] = set()
-    for node in engine.nodes:
-        if node.name in affected:
-            dirty_nets.add(node.out_net)
-            continue
-        if node.lib_cell.is_sequential:
-            continue  # registers bound the cone
-        if not dirty_nets.isdisjoint(node.sink_nets):
-            affected.add(node.name)
-            dirty_nets.add(node.out_net)
-    return affected
+    names, index, readers, drivers = engine.gate_graph()
+    marked = bytearray(len(names))
+    for name in changed_gates:
+        g = index[name]
+        marked[g] = 1
+        for driver in drivers[g]:
+            marked[driver] = 1
+    cone: Set[str] = set()
+    for g in range(max(marked.find(1), 0), len(marked)):
+        if marked[g]:
+            cone.add(names[g])
+            for reader in readers[g]:
+                marked[reader] = 1
+    return cone
 
 
 def _kernel_pays(cone: Set[str], engine: StaEngine) -> bool:
@@ -157,19 +161,16 @@ def run_incremental(
 
 def _kernel_run(engine: StaEngine, constraints: TimingConstraints,
                 columns: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> StaResult:
-    """``StaEngine.run`` through one n = 1 pass of the engine's kernel."""
+    """``StaEngine.run`` through one n = 1 pass of the engine's kernel: the
+    endpoints now, the dicts on first read (``KernelStaResult``)."""
     kernel = engine.sample_kernel()
     state = kernel.state(constraints, *columns)
-    keys = kernel.keys
-    inputs = kernel.arc_inputs
-    result = StaResult(clock_period_ps=constraints.clock_period_ps)
-    result.arrivals = dict(zip(keys, state.arrival.tolist()))
-    result.slews = dict(zip(keys, state.slew.tolist()))
-    result.predecessors = {
-        key: None if row < 0 else (*inputs[row], delay)
-        for key, row, delay in zip(keys, state.winner.tolist(), state.delay.tolist())}
-    engine._collect_endpoints(result, constraints)
-    return result
+    period = constraints.clock_period_ps
+    endpoints = [
+        Endpoint(net, transition, arrival, period if setup is None else period - setup)
+        for (net, transition, setup), arrival
+        in zip(kernel.end_keys, state.arrival[kernel.end_nodes].tolist())]
+    return KernelStaResult.of(kernel, state, endpoints, period)
 
 
 def retime(

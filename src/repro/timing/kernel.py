@@ -5,10 +5,10 @@ into integer-indexed arrays.  It then propagates ``(n_nodes, S)`` arrival
 and slew arrays level by level.  ``run`` takes S samples at a time
 (Monte-Carlo draws or corners) and returns each sample's WNS and critical
 delay.  ``state`` takes one sample and returns the whole timing state:
-arrivals, slews and each node's winning arc, from which
-``run_incremental`` rebuilds ``StaEngine.run``'s result dicts for a large
-what-if.  Both run the one level loop, ``_propagate``; only ``state``
-keeps each arc's delay.
+arrivals, slews and each node's winning arc, over which
+``run_incremental`` returns a large what-if's result (a ``KernelStaResult``,
+whose dicts are built on first read).  Both run the one level loop,
+``_propagate``; only ``state`` keeps each arc's delay.
 
 For finite derates the results equal ``StaEngine.run(constraints,
 derates).wns`` and ``.critical_delay`` under ``==``.  The kernel repeats
@@ -33,7 +33,7 @@ what-if path for small cones.
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+from itertools import groupby
 from typing import (TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -297,13 +297,17 @@ class SampleKernel:
                 out[new], np.flatnonzero(new), np.cumsum(new) - 1))
             begin = rows.stop
 
-        # Endpoints, in ``StaEngine._collect_endpoints`` order, and their setup times.
-        ends = [(ids[(net, t)], 0.0) for net in engine.netlist.outputs
+        # Endpoints, in ``StaEngine._collect_endpoints`` order.
+        ends = [(net, t, None) for net in engine.netlist.outputs
                 for t in TRANSITIONS if (net, t) in ids]
-        ends += [(ids[(reg.d_net, t)], reg.lib_cell.setup_time) for reg in engine.registers
+        ends += [(reg.d_net, t, reg.lib_cell.setup_time) for reg in engine.registers
                  for t in TRANSITIONS if (reg.d_net, t) in ids]
-        self._ends = np.array([end for end, _ in ends], dtype=np.int64)
-        self._setup = np.array([setup for _, setup in ends])[:, None]
+        #: each endpoint's net, transition and setup time (None at a primary
+        #: output, which is required at the clock period itself)
+        self.end_keys: List[Tuple[str, str, Optional[float]]] = ends
+        #: each endpoint's node id
+        self.end_nodes = np.array([ids[(net, t)] for net, t, _ in ends], dtype=np.int64)
+        self._setup = np.array([0.0 if setup is None else setup for *_, setup in ends])[:, None]
 
     def run(self, constraints: TimingConstraints, rise: np.ndarray,
             fall: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -315,10 +319,10 @@ class SampleKernel:
         n = rise.shape[1]
         if n == 0:
             return np.empty(0), np.empty(0)
-        if not len(self._ends):
+        if not len(self.end_nodes):
             raise ValueError("no endpoints in STA result")
         arrival, _, _ = self._propagate(constraints, rise, fall, cap, None)
-        ends = arrival[self._ends]
+        ends = arrival[self.end_nodes]
         slack = (constraints.clock_period_ps - self._setup) - ends
         samples = np.arange(n)
         return (slack[slack.argmin(axis=0), samples],
@@ -386,11 +390,18 @@ def derate_columns(engine: StaEngine, derates: Mapping[str, InstanceDerate]
     ``engine.nodes`` order, 1.0 where ``derates`` has no entry (``1.0 * x
     == x``, so a missing base derate composes exactly).  Entries that name
     no gate are ignored, as the scalar engine ignores them."""
-    scales = [(1.0, 1.0, 1.0) if d is None
-              else (d.delay_rise_scale, d.delay_fall_scale, d.cap_scale)
-              for d in map(derates.get, [node.name for node in engine.nodes])]
-    flat = np.fromiter(chain.from_iterable(scales), np.float64, 3 * len(scales))
-    rise, fall, cap = flat.reshape(-1, 3).T.copy()[:, :, None]
+    index = engine.gate_graph().index
+    gates: List[int] = []
+    values: List[Tuple[float, float, float]] = []
+    for name, derate in derates.items():
+        g = index.get(name)
+        if g is not None and derate is not None:
+            gates.append(g)
+            values.append((derate.delay_rise_scale, derate.delay_fall_scale, derate.cap_scale))
+    scales = np.ones((3, len(engine.nodes), 1))
+    if gates:
+        scales[:, gates, 0] = np.array(values, dtype=np.float64).T
+    rise, fall, cap = scales
     return rise, fall, cap
 
 

@@ -17,8 +17,8 @@ from repro.circuits import c17
 from repro.circuits.fabric import structured_asic
 from repro.flow import FlowConfig, FlowContext, FlowTrace, PostOpcTimingFlow
 from repro.flow.stages import DrawnStaStage, PlaceStage, StageGraph, TagCriticalStage
-from repro.pdk import make_tech_90nm
-from repro.place import instance_gate_rects, place_rows
+from repro.pdk import Layers, make_tech_90nm
+from repro.place import instance_gate_rects, instance_poly_layer, place_rows
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,32 @@ class TestLazyLayoutValues:
         assert flow.owned_polygons is got
         # one build each for the flow, one more for the reference layer
         assert layout_builds == {"gate_rects": 1, "poly_layer": 2}
+
+
+class TestOrientOnceTranslatePerInstance:
+    """The builders orient each cell's shapes once per orientation and
+    translate them per instance; a per-shape transform is the reference."""
+
+    @pytest.mark.parametrize("design", ["c17", "fabric"])
+    def test_equal_to_per_shape_transforms(self, lib, design):
+        netlist = c17(lib) if design == "c17" else structured_asic(120, seed=2)
+        placement = place_rows(netlist, lib)
+        orientations = {(p.transform.rotation, p.transform.mirror_x)
+                        for p in placement.gates.values()}
+        assert len(orientations) > 1
+
+        rects = {(name, transistor.name): placed.transform.apply_rect(transistor.gate_rect)
+                 for name, placed in placement.gates.items()
+                 for transistor in lib[placed.cell_name].transistors}
+        assert list(instance_gate_rects(netlist, lib, placement).items()) == list(rects.items())
+
+        polygons = [(name, placement.gates[name].transform.apply_polygon(poly))
+                    for name in sorted(placement.gates)
+                    for poly in lib[placement.gates[name].cell_name].layout.polygons_on(
+                        Layers.POLY)]
+        got = instance_poly_layer(lib, placement)
+        assert [(name, poly.points) for name, poly in got] == [
+            (name, poly.points) for name, poly in polygons]
 
 
 class TestPlaceCacheHit:

@@ -361,6 +361,28 @@ class TestKeySinks:
         assert [(f.rule, f.line) for f in findings] == [("entropy-taint", 9)]
         assert "-> _now -> stable_hash() argument" in findings[0].message
 
+    def test_lambda_decorator_and_default_sites_fire(self):
+        rules = rules_for(select=["entropy-taint"])
+        findings = check_paths(
+            [os.path.join(CORPUS, "taint_definition_time.py")], rules=rules)
+        # a lambda body, a decorator, a default, an enclosing scope's clock
+        assert [f.line for f in findings] == [22, 25, 30, 37]
+
+    def test_method_decorator_in_a_class_body_fires(self, tmp_path):
+        findings = lint_file(tmp_path, """
+            import time
+            from repro.flow.context import stable_hash
+
+            def tagged(key):
+                return lambda fn: fn
+
+            class Stage:
+                @tagged(stable_hash(time.time()))
+                def run(self):
+                    return None
+        """)
+        assert [(f.rule, f.line) for f in findings] == [("entropy-taint", 9)]
+
     def test_clean_module_level_key_is_silent(self, tmp_path):
         assert lint_file(tmp_path, """
             import time

@@ -8,13 +8,21 @@ slacks, not approximate agreement.  Covers both sides of the path
 selection: large cones take one kernel pass, small cones the cone splice.
 Also pins the reconvergent-fanout merge: a re-timed cone that rejoins
 itself must not leave a stale worst-slew behind (the bug class this file
-guards).
+guards).  The kernel path's result builds its dicts on first read
+(``KernelStaResult``); its contract is pinned before and after that read,
+through pickling, clock rebasing and concurrent first reads.  The integer
+cone walk is checked against the set walk it replaced.
 """
 
 import math
+import pickle
 import random
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cells import build_library
 from repro.circuits import c17, random_logic, structured_asic
@@ -33,6 +41,7 @@ from repro.timing import (
     run_incremental,
 )
 from repro.timing.kernel import SampleKernel
+from repro.timing.sta import KernelStaResult, StaResult, _KernelMaps
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +312,144 @@ class TestReconvergentFanout:
         incremental = run_incremental(engine, baseline, {"slow1"},
                                       constraints, derates)
         assert_bit_identical(full, incremental)
+
+
+class TestLazyKernelResult:
+    """A kernel-path what-if reads its endpoints off the kernel and builds
+    its dicts on first read; every view of it equals a full run."""
+
+    CONSTRAINTS = TimingConstraints(clock_period_ps=900.0)
+
+    @pytest.fixture
+    def pair(self, fabric_engine):
+        """(the unread kernel-path result, the full run) for a derated fabric."""
+        netlist, engine = fabric_engine
+        derates = random_derates(netlist, random.Random(31), 1.0)
+        baseline = engine.run(self.CONSTRAINTS)
+        lazy = run_incremental(engine, baseline, diff_derates({}, derates),
+                               self.CONSTRAINTS, derates)
+        assert isinstance(lazy, KernelStaResult)
+        return lazy, engine.run(self.CONSTRAINTS, derates)
+
+    @staticmethod
+    def unread(result):
+        return result._maps._built == {}
+
+    def test_slacks_without_reading_a_map(self, pair):
+        lazy, full = pair
+        assert lazy.endpoints == full.endpoints  # same order, same required times
+        assert (lazy.wns, lazy.tns, lazy.critical_delay) == (
+            full.wns, full.tns, full.critical_delay)
+        assert self.unread(lazy)
+
+    @pytest.mark.parametrize("name", ["arrivals", "slews", "predecessors"])
+    def test_each_map_on_first_read(self, pair, name):
+        lazy, full = pair
+        got = getattr(lazy, name)
+        assert list(got.items()) == list(getattr(full, name).items())
+        assert lazy._maps._built.keys() == {name}
+        assert getattr(lazy, name) is got
+
+    def test_equals_the_full_result(self, pair):
+        lazy, full = pair
+        assert lazy == full and full == lazy
+        assert not (lazy != full) and not (full != lazy)
+        assert lazy != full.with_clock_period(901.0)
+
+    def test_pickles_as_a_plain_result(self, pair):
+        lazy, full = pair
+        restored = pickle.loads(pickle.dumps(lazy, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(restored) is StaResult
+        assert restored == full
+        for name in ("arrivals", "slews", "predecessors"):
+            assert list(getattr(restored, name)) == list(getattr(full, name))
+
+    def test_rebase_of_an_unread_result(self, pair):
+        lazy, full = pair
+        rebased = lazy.with_clock_period(1234.0)
+        assert self.unread(rebased)
+        assert rebased.endpoints == full.with_clock_period(1234.0).endpoints
+        assert rebased == full.with_clock_period(1234.0)
+        assert rebased.arrivals is lazy.arrivals  # one set of maps
+
+    def test_concurrent_first_reads_build_once(self, pair, monkeypatch):
+        lazy, full = pair
+        build = _KernelMaps._arrivals
+
+        def slow(maps):
+            time.sleep(0.05)  # both readers arrive while the first builds
+            return build(maps)
+
+        monkeypatch.setattr(_KernelMaps, "_arrivals", slow)
+        start = threading.Barrier(2)
+        got = []
+
+        def read():
+            start.wait()
+            got.append(lazy.arrivals)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(got) == 2 and got[0] is got[1]
+        assert got[0] == full.arrivals
+
+
+def set_walk_closure(engine, changed_gates):
+    """The set walk ``affected_gates`` replaced: the oracle for its cone."""
+    driver_of = {node.out_net: node.name for node in engine.nodes}
+    seeds = set(changed_gates)
+    for gate_name in changed_gates:
+        for net in engine.node(gate_name).sink_nets:
+            if net in driver_of:
+                seeds.add(driver_of[net])
+    affected = set(seeds)
+    dirty_nets = set()
+    for node in engine.nodes:
+        if node.name in affected:
+            dirty_nets.add(node.out_net)
+            continue
+        if node.lib_cell.is_sequential:
+            continue
+        if not dirty_nets.isdisjoint(node.sink_nets):
+            affected.add(node.name)
+            dirty_nets.add(node.out_net)
+    return affected
+
+
+def shift_register(stages):
+    """Registers feeding registers, with a NAND tap on every Q."""
+    netlist = Netlist(f"shift{stages}")
+    for net in ("ck", "a", "b"):
+        netlist.add_input(net)
+    prev = "a"
+    for i in range(stages):
+        netlist.add_gate(f"ff{i}", "DFF_X1", {"D": prev, "CK": "ck", "Q": f"q{i}"})
+        netlist.add_gate(f"tap{i}", "NAND2_X1", {"A": f"q{i}", "B": "b", "Z": f"t{i}"})
+        netlist.add_output(f"t{i}")
+        prev = f"q{i}"
+    return netlist
+
+
+@pytest.fixture(scope="module")
+def cone_engines(lib, liberty):
+    """Unplaced engines: combinational random logic, registered fabrics and
+    a shift register (a register's reader is a register)."""
+    netlists = [random_logic(60, seed=seed) for seed in (1, 2)]
+    netlists += [structured_asic(160, seed=seed) for seed in (1, 2, 5)]
+    netlists.append(shift_register(6))
+    return [StaEngine(netlist, lib, liberty) for netlist in netlists]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_cone_equals_the_set_walk(cone_engines, data):
+    engine = data.draw(st.sampled_from(cone_engines))
+    names = sorted(engine.netlist.gates)
+    registers = sorted(node.name for node in engine.registers)
+    changed = set(data.draw(st.lists(st.sampled_from(names), max_size=6)))
+    if registers:
+        changed |= set(data.draw(st.lists(st.sampled_from(registers), max_size=3)))
+    assert affected_gates(engine, changed) == set_walk_closure(engine, changed)
