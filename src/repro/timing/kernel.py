@@ -392,17 +392,21 @@ def derate_columns(engine: StaEngine, derates: Mapping[str, InstanceDerate]
     no gate are ignored, as the scalar engine ignores them."""
     index = engine.gate_graph().index
     gates: List[int] = []
-    values: List[Tuple[float, float, float]] = []
+    rise: List[float] = []
+    fall: List[float] = []
+    cap: List[float] = []
     for name, derate in derates.items():
         g = index.get(name)
         if g is not None and derate is not None:
             gates.append(g)
-            values.append((derate.delay_rise_scale, derate.delay_fall_scale, derate.cap_scale))
+            rise.append(derate.delay_rise_scale)
+            fall.append(derate.delay_fall_scale)
+            cap.append(derate.cap_scale)
     scales = np.ones((3, len(engine.nodes), 1))
     if gates:
-        scales[:, gates, 0] = np.array(values, dtype=np.float64).T
-    rise, fall, cap = scales
-    return rise, fall, cap
+        scales[:, gates, 0] = (rise, fall, cap)
+    rise_column, fall_column, cap_column = scales
+    return rise_column, fall_column, cap_column
 
 
 def _intern(axes: Sequence[Axis]) -> Tuple[np.ndarray, _AxisBank]:
