@@ -118,16 +118,12 @@ class Polygon:
         return inside
 
     def translated(self, dx: float, dy: float) -> "Polygon":
-        return Polygon([Point(p.x + dx, p.y + dy) for p in self._pts])
-
-    def shifted(self, dx: float, dy: float) -> "Polygon":
-        """:meth:`translated` without re-normalising: the vertices moved in
-        place and order.  Equal to it whenever the sums are exact, since an
-        exact translation keeps the vertices distinct, non-collinear and
-        counter-clockwise."""
-        shifted = object.__new__(Polygon)
-        shifted._pts = [Point(p.x + dx, p.y + dy) for p in self._pts]
-        return shifted
+        """The vertices moved by ``(dx, dy)``, in place and order.  A
+        translation keeps a normalised polygon normalised when the sums are
+        exact, so it is not normalised again."""
+        moved = object.__new__(Polygon)
+        moved._pts = [Point(p.x + dx, p.y + dy) for p in self._pts]
+        return moved
 
     def scaled(self, factor: float) -> "Polygon":
         if factor <= 0:

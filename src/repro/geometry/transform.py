@@ -8,7 +8,6 @@ model of mirror-about-x followed by rotation followed by translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -39,21 +38,16 @@ class Transform:
     def translation(dx: float, dy: float) -> "Transform":
         return Transform(dx=dx, dy=dy)
 
-    def orient(self, x: float, y: float) -> Tuple[float, float]:
-        """``(x, y)`` mirrored and rotated, not yet translated: exact, by
-        negations and swaps only."""
+    def apply_point(self, p: Point) -> Point:
+        x, y = p.x, p.y
         if self.mirror_x:
             y = -y
         if self.rotation == 90:
-            return -y, x
-        if self.rotation == 180:
-            return -x, -y
-        if self.rotation == 270:
-            return y, -x
-        return x, y
-
-    def apply_point(self, p: Point) -> Point:
-        x, y = self.orient(p.x, p.y)
+            x, y = -y, x
+        elif self.rotation == 180:
+            x, y = -x, -y
+        elif self.rotation == 270:
+            x, y = y, -x
         return Point(x + self.dx, y + self.dy)
 
     def apply_rect(self, r: Rect) -> Rect:

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 from repro.cells import CellLibrary
 from repro.circuits import Netlist
 from repro.gds import Layout
-from repro.geometry import Point, Polygon, Rect, Transform
+from repro.geometry import Polygon, Rect, Transform
 from repro.pdk import Layers
 from repro.place.placer import Placement
 
@@ -58,12 +58,12 @@ def instance_gate_rects(
         key = (placed.cell_name, transform.rotation, transform.mirror_x)
         shapes = oriented.get(key)
         if shapes is None:
+            orient = Transform(rotation=transform.rotation, mirror_x=transform.mirror_x)
             shapes = oriented[key] = [
-                (transistor.name, _oriented_rect(transform, transistor.gate_rect))
+                (transistor.name, orient.apply_rect(transistor.gate_rect))
                 for transistor in library[placed.cell_name].transistors]
-        dx, dy = transform.dx, transform.dy
-        for name, r in shapes:
-            rects[(gate_name, name)] = Rect(r.x0 + dx, r.y0 + dy, r.x1 + dx, r.y1 + dy)
+        for name, rect in shapes:
+            rects[(gate_name, name)] = rect.translated(transform.dx, transform.dy)
     return rects
 
 
@@ -75,7 +75,8 @@ def instance_poly_layer(
 
     Equal, vertex for vertex, to ``transform.apply_polygon`` per shape:
     each cell's shapes are oriented and normalised once per orientation,
-    then translated per instance by :meth:`Polygon.shifted`.
+    then translated per instance (:meth:`Polygon.translated`, which keeps
+    the vertex order).
     """
     oriented: Dict[Tuple[str, int, bool], List[Polygon]] = {}
     owned: List[Tuple[str, Polygon]] = []
@@ -85,15 +86,10 @@ def instance_poly_layer(
         key = (placed.cell_name, transform.rotation, transform.mirror_x)
         shapes = oriented.get(key)
         if shapes is None:
+            orient = Transform(rotation=transform.rotation, mirror_x=transform.mirror_x)
             shapes = oriented[key] = [
-                Polygon([Point(*transform.orient(p.x, p.y)) for p in poly.points])
+                orient.apply_polygon(poly)
                 for poly in library[placed.cell_name].layout.polygons_on(Layers.POLY)]
-        owned.extend((gate_name, poly.shifted(transform.dx, transform.dy)) for poly in shapes)
+        owned.extend((gate_name, poly.translated(transform.dx, transform.dy))
+                     for poly in shapes)
     return owned
-
-
-def _oriented_rect(transform: Transform, r: Rect) -> Rect:
-    """``r`` mirrored and rotated by ``transform``, not translated."""
-    a = transform.orient(r.x0, r.y0)
-    b = transform.orient(r.x1, r.y1)
-    return Rect(min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))

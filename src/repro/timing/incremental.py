@@ -14,12 +14,9 @@ instances' pin capacitance), then takes the cheaper of two exact paths:
   of the engine's batched kernel (:meth:`SampleKernel.state`), which
   returns arrivals, slews and each node's winning arc.  A pass is the
   cheaper path once the cone holds more than a sixth of the graph plus
-  40 gates (:func:`_kernel_pays`).  Its result is a
-  :class:`~repro.timing.sta.KernelStaResult`: the endpoints are read
-  straight off the kernel's endpoint rows, and the arrival, slew and
-  predecessor dicts are built on first read, so a what-if that only asks
-  for slacks pays for the pass alone.  It pickles as a plain
-  :class:`StaResult`.
+  40 gates (:func:`_kernel_pays`).  The result's dicts are built from
+  the kernel state in the full run's key order, and its endpoints are
+  read straight off the kernel's endpoint rows.
 
 Either result is bit-identical to a full :meth:`StaEngine.run`, including
 predecessors; parity tests on both sides of the selection enforce it
@@ -34,8 +31,8 @@ Two properties keep the cone small on register-rich fabrics, and cheap to find:
   is not itself in the change set.  D-pin endpoint slacks still update
   because endpoints are re-collected from the patched arrival map.
 * The cone is one sweep over integer gate ids (:meth:`StaEngine.gate_graph`,
-  built on an engine's first what-if): each gate's non-sequential
-  readers, and the drivers of its input nets.
+  built on an engine's first what-if): each net's driver, and each gate's
+  non-sequential readers.
 
 ``retime`` (exported as :func:`repro.timing.retime`) is the what-if entry:
 it diffs two derate annotations with :func:`diff_derates` and
@@ -56,7 +53,6 @@ from repro.timing.sta import (
     _NO_DERATE,
     Endpoint,
     InstanceDerate,
-    KernelStaResult,
     StaEngine,
     StaResult,
     TimingConstraints,
@@ -93,17 +89,19 @@ def affected_gates(
     marks the non-sequential gates reading its output, which all come
     later in the order, so every mark lands before the sweep reaches it.
     """
-    names, index, readers, drivers = engine.gate_graph()
-    marked = bytearray(len(names))
+    driver, readers = engine.gate_graph()
+    marked = bytearray(len(readers))
     for name in changed_gates:
-        g = index[name]
-        marked[g] = 1
-        for driver in drivers[g]:
-            marked[driver] = 1
+        node = engine.node(name)
+        marked[driver[node.out_net]] = 1
+        for net in node.sink_nets:
+            if net in driver:
+                marked[driver[net]] = 1
+    nodes = engine.nodes
     cone: Set[str] = set()
     for g in range(max(marked.find(1), 0), len(marked)):
         if marked[g]:
-            cone.add(names[g])
+            cone.add(nodes[g].name)
             for reader in readers[g]:
                 marked[reader] = 1
     return cone
@@ -161,16 +159,22 @@ def run_incremental(
 
 def _kernel_run(engine: StaEngine, constraints: TimingConstraints,
                 columns: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> StaResult:
-    """``StaEngine.run`` through one n = 1 pass of the engine's kernel: the
-    endpoints now, the dicts on first read (``KernelStaResult``)."""
+    """``StaEngine.run`` through one n = 1 pass of the engine's kernel."""
     kernel = engine.sample_kernel()
     state = kernel.state(constraints, *columns)
+    inputs = kernel.arc_inputs
     period = constraints.clock_period_ps
-    endpoints = [
+    result = StaResult(clock_period_ps=period)
+    result.arrivals = kernel.node_map(state.arrival.tolist())
+    result.slews = kernel.node_map(state.slew.tolist())
+    result.predecessors = kernel.node_map([
+        None if row < 0 else inputs[row] + (delay,)
+        for row, delay in zip(state.winner.tolist(), state.delay.tolist())])
+    result.endpoints = [
         Endpoint(net, transition, arrival, period if setup is None else period - setup)
         for (net, transition, setup), arrival
         in zip(kernel.end_keys, state.arrival[kernel.end_nodes].tolist())]
-    return KernelStaResult.of(kernel, state, endpoints, period)
+    return result
 
 
 def retime(

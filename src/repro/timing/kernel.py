@@ -5,10 +5,10 @@ into integer-indexed arrays.  It then propagates ``(n_nodes, S)`` arrival
 and slew arrays level by level.  ``run`` takes S samples at a time
 (Monte-Carlo draws or corners) and returns each sample's WNS and critical
 delay.  ``state`` takes one sample and returns the whole timing state:
-arrivals, slews and each node's winning arc, over which
-``run_incremental`` returns a large what-if's result (a ``KernelStaResult``,
-whose dicts are built on first read).  Both run the one level loop,
-``_propagate``; only ``state`` keeps each arc's delay.
+arrivals, slews and each node's winning arc, from which
+``run_incremental`` rebuilds ``StaEngine.run``'s result dicts for a large
+what-if.  Both run the one level loop, ``_propagate``; only ``state``
+keeps each arc's delay.
 
 For finite derates the results equal ``StaEngine.run(constraints,
 derates).wns`` and ``.critical_delay`` under ``==``.  The kernel repeats
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from typing import (TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple, TypeVar, Union)
 
 import numpy as np
 
@@ -45,6 +45,7 @@ if TYPE_CHECKING:
     from repro.timing.sta import InstanceDerate, StaEngine, TimingConstraints
 
 Axis = Tuple[float, ...]
+T = TypeVar("T")
 
 
 class _Axes(NamedTuple):
@@ -260,7 +261,7 @@ class SampleKernel:
         self._pair = pair = pair.reshape(2, -1)
         self._pair_net = pairs // max(n_axes, 1)
         self._pair_axes = load_bank.rows(pairs % max(n_axes, 1))
-        gate_index = {node.name: g for g, node in enumerate(nodes)}
+        gate_index = engine.gate_index()
         loads = [engine._loads.get(net, []) for net in nets]
         self._sinks: List[Tuple[int, np.ndarray, np.ndarray]] = []
         for k in range(len(loads[0]) if loads else 0):
@@ -308,6 +309,15 @@ class SampleKernel:
         #: each endpoint's node id
         self.end_nodes = np.array([ids[(net, t)] for net, t, _ in ends], dtype=np.int64)
         self._setup = np.array([0.0 if setup is None else setup for *_, setup in ends])[:, None]
+        self._key_slots = dict.fromkeys(self.keys)
+
+    def node_map(self, values: Sequence[T]) -> Dict[Tuple[str, str], T]:
+        """``values``, one per node id, keyed by ``keys`` in their order.  A
+        copy of a dict that already holds every key is filled in place,
+        which skips the resizes of building the dict entry by entry."""
+        filled = self._key_slots.copy()
+        filled.update(zip(self.keys, values))
+        return filled
 
     def run(self, constraints: TimingConstraints, rise: np.ndarray,
             fall: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -390,7 +400,7 @@ def derate_columns(engine: StaEngine, derates: Mapping[str, InstanceDerate]
     ``engine.nodes`` order, 1.0 where ``derates`` has no entry (``1.0 * x
     == x``, so a missing base derate composes exactly).  Entries that name
     no gate are ignored, as the scalar engine ignores them."""
-    index = engine.gate_graph().index
+    index = engine.gate_index()
     gates: List[int] = []
     rise: List[float] = []
     fall: List[float] = []

@@ -9,14 +9,13 @@ capacitances without re-characterizing the library.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cells import CellLibrary, StandardCell
 from repro.circuits import Netlist
 from repro.place.placer import Placement
-from repro.timing.kernel import KernelState, SampleKernel
+from repro.timing.kernel import SampleKernel
 from repro.timing.liberty import TRANSITIONS, LibertyCell, LibertyLibrary, TimingArc
 from repro.units import Dimensionless, Picoseconds
 
@@ -70,13 +69,9 @@ class Endpoint:
         return self.required - self.arrival
 
 
-@dataclass(eq=False)
+@dataclass
 class StaResult:
-    """All timing quantities of one STA run.
-
-    Two results are equal when their fields are, whatever their class: a
-    :class:`KernelStaResult` equals the plain result with the same values.
-    """
+    """All timing quantities of one STA run."""
 
     arrivals: Dict[NodeKey, float] = field(default_factory=dict)
     slews: Dict[NodeKey, float] = field(default_factory=dict)
@@ -108,14 +103,6 @@ class StaResult:
         """Longest arrival over all endpoints."""
         return max(e.arrival for e in self.endpoints)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StaResult):
-            return NotImplemented
-        return ((self.arrivals, self.slews, self.predecessors, self.endpoints,
-                 self.clock_period_ps)
-                == (other.arrivals, other.slews, other.predecessors, other.endpoints,
-                    other.clock_period_ps))
-
     def endpoint_slacks(self) -> Dict[Tuple[str, str], float]:
         return {(e.net, e.transition): e.slack for e in self.endpoints}
 
@@ -139,93 +126,16 @@ class StaResult:
         if clock_period_ps == self.clock_period_ps:
             return self
         delta = clock_period_ps - self.clock_period_ps
-        return self._rebased(
-            [Endpoint(e.net, e.transition, e.arrival, e.required + delta)
-             for e in self.endpoints],
-            clock_period_ps)
-
-    def _rebased(self, endpoints: List[Endpoint], clock_period_ps: float) -> "StaResult":
-        """This result's maps with other endpoints and clock period."""
-        return StaResult(self.arrivals, self.slews, self.predecessors, endpoints,
-                         clock_period_ps)
-
-
-class _KernelMaps:
-    """The arrival, slew and predecessor dicts of one ``SampleKernel.state``
-    pass, each built on its first read, once, under a lock.
-
-    They are ``StaEngine.run``'s dicts: the kernel's node keys are in the
-    order the scalar engine first writes them, and a winning arc row names
-    the predecessor's net, transition and gate (``SampleKernel.arc_inputs``).
-    """
-
-    def __init__(self, kernel: SampleKernel, state: KernelState) -> None:
-        self._kernel = kernel
-        self._state = state
-        self._built: Dict[str, Dict[NodeKey, Any]] = {}
-        self._lock = threading.Lock()
-
-    def read(self, name: str) -> Dict[NodeKey, Any]:
-        built = self._built.get(name)
-        if built is None:
-            with self._lock:
-                built = self._built.get(name)
-                if built is None:
-                    built = self._built[name] = getattr(self, "_" + name)()
-        return built
-
-    def _arrivals(self) -> Dict[NodeKey, float]:
-        return dict(zip(self._kernel.keys, self._state.arrival.tolist()))
-
-    def _slews(self) -> Dict[NodeKey, float]:
-        return dict(zip(self._kernel.keys, self._state.slew.tolist()))
-
-    def _predecessors(self) -> Dict[NodeKey, Optional[Tuple[str, str, str, float]]]:
-        inputs = self._kernel.arc_inputs
-        return {key: None if row < 0 else (*inputs[row], delay)
-                for key, row, delay in zip(self._kernel.keys, self._state.winner.tolist(),
-                                           self._state.delay.tolist())}
-
-
-class KernelStaResult(StaResult):
-    """A :class:`StaResult` over one kernel pass: the endpoints are given,
-    and ``arrivals``, ``slews`` and ``predecessors`` are built from the
-    kernel state on first read (``_KernelMaps``).
-
-    A what-if that only reads slacks never pays for the dicts.  A clock
-    rebase shares the maps, as :meth:`StaResult.with_clock_period` shares
-    the dicts, and a pickle holds a plain :class:`StaResult`.
-    """
-
-    def __init__(self, maps: _KernelMaps, endpoints: List[Endpoint],
-                 clock_period_ps: float) -> None:
-        self._maps = maps
-        self.endpoints = endpoints
-        self.clock_period_ps = clock_period_ps
-
-    @classmethod
-    def of(cls, kernel: SampleKernel, state: KernelState, endpoints: List[Endpoint],
-           clock_period_ps: float) -> "KernelStaResult":
-        return cls(_KernelMaps(kernel, state), endpoints, clock_period_ps)
-
-    @property  # type: ignore[override]
-    def arrivals(self) -> Dict[NodeKey, float]:
-        return self._maps.read("arrivals")
-
-    @property  # type: ignore[override]
-    def slews(self) -> Dict[NodeKey, float]:
-        return self._maps.read("slews")
-
-    @property  # type: ignore[override]
-    def predecessors(self) -> Dict[NodeKey, Optional[Tuple[str, str, str, float]]]:
-        return self._maps.read("predecessors")
-
-    def _rebased(self, endpoints: List[Endpoint], clock_period_ps: float) -> StaResult:
-        return KernelStaResult(self._maps, endpoints, clock_period_ps)
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return StaResult, (self.arrivals, self.slews, self.predecessors,
-                           self.endpoints, self.clock_period_ps)
+        return StaResult(
+            arrivals=self.arrivals,
+            slews=self.slews,
+            predecessors=self.predecessors,
+            endpoints=[
+                Endpoint(e.net, e.transition, e.arrival, e.required + delta)
+                for e in self.endpoints
+            ],
+            clock_period_ps=clock_period_ps,
+        )
 
 
 class TimingNode(NamedTuple):
@@ -241,12 +151,10 @@ class TimingNode(NamedTuple):
 
 
 class GateGraph(NamedTuple):
-    """An engine's gates as integer ids (positions in ``StaEngine.nodes``)."""
+    """An engine's fan-out over integer gate ids (positions in ``StaEngine.nodes``)."""
 
-    names: List[str]          # id -> gate name
-    index: Dict[str, int]     # gate name -> id
+    driver: Dict[str, int]    # net -> the id of the gate driving it
     readers: List[List[int]]  # per gate: the non-sequential gates reading its output, ascending
-    drivers: List[List[int]]  # per gate: the drivers of its input nets, once per pin
 
 
 class StaEngine:
@@ -296,6 +204,7 @@ class StaEngine:
         else:
             self._hpwl = self._build_hpwl(placement) if placement is not None else {}
         self._kernel: Optional[SampleKernel] = None
+        self._gate_index: Optional[Dict[str, int]] = None
         self._gate_graph: Optional[GateGraph] = None
 
     # -- construction helpers ---------------------------------------------
@@ -326,21 +235,26 @@ class StaEngine:
             self._kernel = SampleKernel(self)
         return self._kernel
 
+    def gate_index(self) -> Dict[str, int]:
+        """Each gate's id, its position in ``nodes``; built on first use and
+        kept."""
+        if self._gate_index is None:
+            self._gate_index = {node.name: g for g, node in enumerate(self.nodes)}
+        return self._gate_index
+
     def gate_graph(self) -> GateGraph:
-        """This graph's gates as integer ids, for cone walks and derate
-        columns; built on first use and kept: constructing an engine does
-        not pay for it."""
+        """The fan-out over gate ids, for cone walks; built on first use (an
+        engine's first what-if) and kept: constructing an engine does not
+        pay for it."""
         if self._gate_graph is None:
-            index = {node.name: g for g, node in enumerate(self.nodes)}
             driver = {node.out_net: g for g, node in enumerate(self.nodes)}
-            drivers = [[driver[net] for net in node.sink_nets if net in driver]
-                       for node in self.nodes]
             readers: List[List[int]] = [[] for _ in self.nodes]
             for g, node in enumerate(self.nodes):
                 if not node.lib_cell.is_sequential:
-                    for d in drivers[g]:
-                        readers[d].append(g)
-            self._gate_graph = GateGraph(list(index), index, readers, drivers)
+                    for net in node.sink_nets:
+                        if net in driver:
+                            readers[driver[net]].append(g)
+            self._gate_graph = GateGraph(driver, readers)
         return self._gate_graph
 
     def node(self, name: str) -> TimingNode:

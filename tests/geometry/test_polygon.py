@@ -74,6 +74,9 @@ class TestGeometry:
         p = l_shape().translated(10, 20)
         assert p.bbox == Rect(10, 20, 14, 24)
         assert p.area == 12
+        # vertex for vertex, in order, and still normalised
+        assert p.points == [Point(q.x + 10, q.y + 20) for q in l_shape().points]
+        assert Polygon(p.points).points == p.points
 
     def test_scaled(self):
         p = l_shape().scaled(2)

@@ -8,17 +8,13 @@ slacks, not approximate agreement.  Covers both sides of the path
 selection: large cones take one kernel pass, small cones the cone splice.
 Also pins the reconvergent-fanout merge: a re-timed cone that rejoins
 itself must not leave a stale worst-slew behind (the bug class this file
-guards).  The kernel path's result builds its dicts on first read
-(``KernelStaResult``); its contract is pinned before and after that read,
-through pickling, clock rebasing and concurrent first reads.  The integer
-cone walk is checked against the set walk it replaced.
+guards).  The kernel path's endpoints and dict key order are pinned
+against the full run's.  The integer cone walk is checked against the set
+walk it replaced.
 """
 
 import math
-import pickle
 import random
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +37,6 @@ from repro.timing import (
     run_incremental,
 )
 from repro.timing.kernel import SampleKernel
-from repro.timing.sta import KernelStaResult, StaResult, _KernelMaps
 
 
 @pytest.fixture(scope="module")
@@ -314,87 +309,38 @@ class TestReconvergentFanout:
         assert_bit_identical(full, incremental)
 
 
-class TestLazyKernelResult:
-    """A kernel-path what-if reads its endpoints off the kernel and builds
-    its dicts on first read; every view of it equals a full run."""
+class TestKernelResult:
+    """A kernel-path what-if is the full run's result: its endpoints come off
+    the kernel's endpoint table, its dicts are in the full run's key order."""
 
     CONSTRAINTS = TimingConstraints(clock_period_ps=900.0)
 
     @pytest.fixture
-    def pair(self, fabric_engine):
-        """(the unread kernel-path result, the full run) for a derated fabric."""
+    def pair(self, fabric_engine, kernel_passes):
+        """(the kernel-path result, the full run) for a derated fabric."""
         netlist, engine = fabric_engine
         derates = random_derates(netlist, random.Random(31), 1.0)
         baseline = engine.run(self.CONSTRAINTS)
-        lazy = run_incremental(engine, baseline, diff_derates({}, derates),
-                               self.CONSTRAINTS, derates)
-        assert isinstance(lazy, KernelStaResult)
-        return lazy, engine.run(self.CONSTRAINTS, derates)
+        result = run_incremental(engine, baseline, diff_derates({}, derates),
+                                 self.CONSTRAINTS, derates)
+        assert len(kernel_passes) == 1
+        return result, engine.run(self.CONSTRAINTS, derates)
 
-    @staticmethod
-    def unread(result):
-        return result._maps._built == {}
-
-    def test_slacks_without_reading_a_map(self, pair):
-        lazy, full = pair
-        assert lazy.endpoints == full.endpoints  # same order, same required times
-        assert (lazy.wns, lazy.tns, lazy.critical_delay) == (
+    def test_endpoints_in_full_run_order(self, pair):
+        result, full = pair
+        assert result.endpoints == full.endpoints  # same order, same required times
+        assert (result.wns, result.tns, result.critical_delay) == (
             full.wns, full.tns, full.critical_delay)
-        assert self.unread(lazy)
 
     @pytest.mark.parametrize("name", ["arrivals", "slews", "predecessors"])
-    def test_each_map_on_first_read(self, pair, name):
-        lazy, full = pair
-        got = getattr(lazy, name)
-        assert list(got.items()) == list(getattr(full, name).items())
-        assert lazy._maps._built.keys() == {name}
-        assert getattr(lazy, name) is got
+    def test_each_map_in_full_run_order(self, pair, name):
+        result, full = pair
+        assert list(getattr(result, name).items()) == list(getattr(full, name).items())
 
-    def test_equals_the_full_result(self, pair):
-        lazy, full = pair
-        assert lazy == full and full == lazy
-        assert not (lazy != full) and not (full != lazy)
-        assert lazy != full.with_clock_period(901.0)
-
-    def test_pickles_as_a_plain_result(self, pair):
-        lazy, full = pair
-        restored = pickle.loads(pickle.dumps(lazy, protocol=pickle.HIGHEST_PROTOCOL))
-        assert type(restored) is StaResult
-        assert restored == full
-        for name in ("arrivals", "slews", "predecessors"):
-            assert list(getattr(restored, name)) == list(getattr(full, name))
-
-    def test_rebase_of_an_unread_result(self, pair):
-        lazy, full = pair
-        rebased = lazy.with_clock_period(1234.0)
-        assert self.unread(rebased)
-        assert rebased.endpoints == full.with_clock_period(1234.0).endpoints
-        assert rebased == full.with_clock_period(1234.0)
-        assert rebased.arrivals is lazy.arrivals  # one set of maps
-
-    def test_concurrent_first_reads_build_once(self, pair, monkeypatch):
-        lazy, full = pair
-        build = _KernelMaps._arrivals
-
-        def slow(maps):
-            time.sleep(0.05)  # both readers arrive while the first builds
-            return build(maps)
-
-        monkeypatch.setattr(_KernelMaps, "_arrivals", slow)
-        start = threading.Barrier(2)
-        got = []
-
-        def read():
-            start.wait()
-            got.append(lazy.arrivals)
-
-        threads = [threading.Thread(target=read) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(got) == 2 and got[0] is got[1]
-        assert got[0] == full.arrivals
+    def test_equals_the_full_result_at_any_period(self, pair):
+        result, full = pair
+        assert result == full
+        assert result.with_clock_period(1234.0) == full.with_clock_period(1234.0)
 
 
 def set_walk_closure(engine, changed_gates):
